@@ -10,7 +10,7 @@
 # verify.sh's BENCH=1 / OBS=1 blocks call these targets, so the recipe lives
 # in exactly one place.
 
-.PHONY: build test race lint lint-bench verify bench bench-smoke obs-smoke chaos-smoke shard-smoke runtimeobs-smoke shootdown-smoke churn-smoke
+.PHONY: build test race lint lint-bench verify bench bench-smoke obs-smoke chaos-smoke runtimeobs-smoke shootdown-smoke churn-smoke
 
 build:
 	go build ./...
@@ -48,7 +48,7 @@ verify:
 bench:
 	go test -run '^$$' -bench=. -benchmem -benchtime=100x \
 		./internal/vm ./internal/cache ./internal/engine
-	go run ./cmd/perfbench -parallel 1 -shardaxis 0,4 -o BENCH_engine.json
+	go run ./cmd/perfbench -parallel 1 -o BENCH_engine.json
 
 bench-smoke:
 	go test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
@@ -69,56 +69,48 @@ chaos-smoke:
 	go run ./cmd/chaossweep -bench CG -class small -threads 8 \
 		-policies os,spcd -intensities 0,0.5,1 -seed 42 -reps 2 -check
 
-# Host-side runtime observability end to end: a ClassSmall sharded run with
+# Host-side runtime observability end to end: a ClassSmall run with
 # -runtimeobs, then -check re-reads runtime_trace.json / runtime_summary.json
-# and validates them (trace parses with >= 1 complete event; summary carries
-# finite barrier-stall / imbalance / merge-share diagnostics for the sharded
-# engine). RUNTIMEOBS_DIR overrides where the artifacts land (CI uploads).
+# and validates them (trace parses with >= 1 complete event; summary holds
+# at least one engine run with finite phase times and simulate_seconds > 0).
+# RUNTIMEOBS_DIR overrides where the artifacts land (CI uploads).
 RUNTIMEOBS_DIR ?= .runtimeobs-smoke
 
 runtimeobs-smoke:
 	mkdir -p $(RUNTIMEOBS_DIR)
 	go run ./cmd/spcdobs -bench CG -class small -threads 8 \
-		-policies os,spcd -shards 4 -dir $(RUNTIMEOBS_DIR) \
+		-policies os,spcd -dir $(RUNTIMEOBS_DIR) \
 		-runtimeobs $(RUNTIMEOBS_DIR) -check
 
 # Translation-coherence cost model under both schemes at ClassSmall scale:
 # the full grid runs with -shootdown ipi and hatric, and each leg must be
-# byte-identical at parallelism 1 vs 8 (-check) AND at shards 1 vs 4
-# (-checkshards) — shootdown charging is canonical, so worker count and
-# shard count cannot leak into the honest remap costs. The comparison CSVs
-# land in SHOOTDOWN_DIR (CI uploads them as artifacts).
+# byte-identical at parallelism 1 vs 8 (-check) — shootdown charging is
+# canonical, so the worker count cannot leak into the honest remap costs.
+# The comparison CSVs land in SHOOTDOWN_DIR (CI uploads them as artifacts).
 SHOOTDOWN_DIR ?= .shootdown-smoke
 
 shootdown-smoke:
 	mkdir -p $(SHOOTDOWN_DIR)
 	go run ./cmd/chaossweep -bench CG -class small -threads 8 \
 		-policies os,spcd -intensities 0,0.5,1 -seed 42 -reps 2 \
-		-shootdown ipi -check -checkshards \
+		-shootdown ipi -check \
 		-csv $(SHOOTDOWN_DIR)/shootdown_ipi.csv
 	go run ./cmd/chaossweep -bench CG -class small -threads 8 \
 		-policies os,spcd -intensities 0,0.5,1 -seed 42 -reps 2 \
-		-shootdown hatric -check -checkshards \
+		-shootdown hatric -check \
 		-csv $(SHOOTDOWN_DIR)/shootdown_hatric.csv
 
 # The long-running serving scenario under churn at ClassSmall scale: a
 # two-tenant schedule (arrival, phase switch) across the fault-intensity
 # axis, compared against its churn-free baseline. -check reruns the whole
-# grid at parallelism 1 vs 8 and -checkshards at shards 1 vs 4; both must be
-# byte-identical, proving the scenario loop, admission retries and churn
-# governor stay on the deterministic path. The SLO CSV lands in CHURN_DIR
-# (CI uploads it as an artifact).
+# grid at parallelism 1 vs 8 and requires byte-identical reports, proving
+# the scenario loop, admission retries and churn governor stay on the
+# deterministic path. The SLO CSV lands in CHURN_DIR (CI uploads it as an
+# artifact).
 CHURN_DIR ?= .churn-smoke
 
 churn-smoke:
 	mkdir -p $(CHURN_DIR)
 	go run ./cmd/chaossweep -churn -tenants 2 -class small \
-		-intensities 0,0.5,1 -seed 42 -reps 2 -check -checkshards \
+		-intensities 0,0.5,1 -seed 42 -reps 2 -check \
 		-csv $(CHURN_DIR)/slo_under_churn.csv
-
-# The epoch-sharded engine's byte-identity gate at full ClassSmall scale:
-# the complete kernel x policy grid must be identical at shards 1/2/4/8,
-# plus the chaos leg (canonical fault plan at shards 1 vs 4). The same
-# tests run at ClassTest inside ./verify.sh; this is the CI-scale tier.
-shard-smoke:
-	SWEEP_CLASS=small go test -run 'TestEngineSharding' -timeout 30m -v .

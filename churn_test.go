@@ -13,8 +13,7 @@ import (
 // The churn-robustness gate: the long-running multi-tenant scenario — the
 // canonical schedule exercises arrival, phase switch and departure in one
 // run — must produce byte-identical per-tenant metrics at every RunJobs
-// parallelism and every engine shard count, with and without the canonical
-// fault plan. determinism_test.go proves this for single runs; churn is the
+// parallelism, with and without the canonical fault plan. determinism_test.go proves this for single runs; churn is the
 // adversarial case because membership changes, admission retries and the
 // governor's backoff all thread state across interval boundaries.
 
@@ -45,31 +44,6 @@ func TestChurnDeterminismAcrossParallelism(t *testing.T) {
 		if seq[i].Render() != par[i].Render() {
 			t.Errorf("job %d: reports differ between parallelism 1 and 8\n--- p1 ---\n%s--- p8 ---\n%s",
 				i, seq[i].Render(), par[i].Render())
-		}
-	}
-}
-
-func TestChurnDeterminismAcrossShards(t *testing.T) {
-	plan := spcd.CanonicalFaultPlan(42)
-	for _, faults := range []bool{false, true} {
-		s1 := churnSpec(42)
-		s1.Shards = 1
-		s4 := churnSpec(42)
-		s4.Shards = 4
-		if faults {
-			s1.Faults, s4.Faults = &plan, &plan
-		}
-		r1, err := spcd.Serve(s1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r4, err := spcd.Serve(s4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Render() != r4.Render() {
-			t.Errorf("faults=%t: reports differ between shards 1 and 4\n--- s1 ---\n%s--- s4 ---\n%s",
-				faults, r1.Render(), r4.Render())
 		}
 	}
 }

@@ -80,11 +80,11 @@ func pick(entries []benchfmt.HistoryEntry, idx int) (benchfmt.HistoryEntry, erro
 // sweep shape is a configuration change, not a slowdown.
 func compare(a, b benchfmt.HistoryEntry, threshold float64) (report string, regressed bool) {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "baseline:  %s  (build %s, class %s, parallel %d, shards %d)\n",
-		a.Time, a.Build, a.Class, a.Parallel, a.Shards)
-	fmt.Fprintf(&sb, "candidate: %s  (build %s, class %s, parallel %d, shards %d)\n",
-		b.Time, b.Build, b.Class, b.Parallel, b.Shards)
-	if a.Class != b.Class || a.Parallel != b.Parallel || a.Shards != b.Shards {
+	fmt.Fprintf(&sb, "baseline:  %s  (build %s, class %s, parallel %d)\n",
+		a.Time, a.Build, a.Class, a.Parallel)
+	fmt.Fprintf(&sb, "candidate: %s  (build %s, class %s, parallel %d)\n",
+		b.Time, b.Build, b.Class, b.Parallel)
+	if a.Class != b.Class || a.Parallel != b.Parallel {
 		fmt.Fprintf(&sb, "note: entries were recorded under different configurations; deltas are not like-for-like\n")
 	}
 	fmt.Fprintln(&sb)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -125,5 +126,40 @@ func TestHistoryRoundTripRegression(t *testing.T) {
 	}
 	if _, regressed := compare(ea, eb, 0.10); !regressed {
 		t.Fatal("50% slowdown through the history file not detected")
+	}
+}
+
+// Records written before the engine lost its intra-run worker knob carry
+// "shards" and "shard_axis" keys. The committed history still holds such
+// entries, so they must keep decoding and comparing against new ones.
+func TestLegacyHistoryEntryStillDecodes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_history.jsonl")
+	legacy := `{"time":"2026-01-01T00:00:00Z","build":"aaaa","class":"small","threads":32,"parallel":1,"shards":0,` +
+		`"go_version":"go1.24.0","num_cpu":1,"aggregate_accesses_per_sec":2000,` +
+		`"shard_axis":[{"shards":0,"aggregate_accesses_per_sec":2000,"speedup_vs_first":1}],` +
+		`"results":[{"kernel":"CG","policy":"spcd","class":"small","sim_accesses":1000000,"accesses_per_sec":2000}]}` + "\n"
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := benchfmt.AppendHistory(path, entry("2026-01-02T00:00:00Z", "bbbb", res("CG", "spcd", 1000))); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := benchfmt.ReadHistory(path)
+	if err != nil {
+		t.Fatalf("legacy entry does not decode: %v", err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("read %d entries, want 2", len(entries))
+	}
+	a := entries[0]
+	if a.Build != "aaaa" || a.Parallel != 1 || len(a.Results) != 1 || a.Results[0].AccessesPerSec != 2000 {
+		t.Fatalf("legacy entry decoded wrong: %+v", a)
+	}
+	report, regressed := compare(a, entries[1], 0.10)
+	if !regressed {
+		t.Fatalf("50%% slowdown against a legacy entry not detected; report:\n%s", report)
+	}
+	if strings.Contains(report, "not like-for-like") {
+		t.Errorf("legacy entry reads as a different configuration; report:\n%s", report)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"spcd"
@@ -24,7 +23,6 @@ type churnGrid struct {
 	axis     []float64
 	seed     int64
 	reps     int
-	shards   int
 	budget   int
 }
 
@@ -76,7 +74,6 @@ func (g churnGrid) run(parallelism int) (report, csv string) {
 			}
 			s.Policy = pt.policy
 			s.MigrationBudget = g.budget
-			s.Shards = g.shards
 			specs = append(specs, s)
 		}
 	}
@@ -167,21 +164,6 @@ func renderChurn(rows []churnRow, pols []string) string {
 			s.c2cCross, st.c2cCross, ratio(s.c2cCross, st.c2cCross), verdict)
 	}
 	return b.String()
-}
-
-// checkChurnShards proves the churn grid's shard-count independence: the
-// full report and CSV must be byte-identical at 1 and 4 intra-interval
-// engine workers. Run at parallelism 1 so the shard count is the only
-// variable.
-func checkChurnShards(g churnGrid) {
-	g1, g4 := g, g
-	g1.shards, g4.shards = 1, 4
-	rep1, csv1 := g1.run(1)
-	rep4, csv4 := g4.run(1)
-	if rep1 != rep4 || csv1 != csv4 {
-		fatal(fmt.Errorf("shard determinism check failed: churn report differs at shards 1 and 4"))
-	}
-	fmt.Fprintln(os.Stderr, "check ok: churn report byte-identical at shards 1 and 4")
 }
 
 // renderChurnCSV renders the same rows machine-readably; baseline rows carry

@@ -11,8 +11,8 @@
 //	chaossweep -bench SP -policies os,spcd,tlb,hwc -intensities 0,0.5,1
 //	chaossweep -bench CG -class small -check          # prove report determinism
 //	chaossweep -bench CG -csv curves.csv -parallel 4
-//	chaossweep -shootdown ipi -check -checkshards     # honest remap costs, byte-
-//	                                                  # identity at 1/8 workers and 1/4 shards
+//	chaossweep -shootdown ipi -check                  # honest remap costs, byte-
+//	                                                  # identity at 1/8 workers
 //	chaossweep -churn -tenants 3 -class test          # SLO-under-churn axis: the
 //	                                                  # multi-tenant serving scenario
 //	                                                  # vs its churn-free baseline
@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -48,11 +47,9 @@ func main() {
 		seed        = flag.Int64("seed", 42, "master seed (feeds run seeds and the fault plans)")
 		reps        = flag.Int("reps", 2, "repetitions per (policy, intensity)")
 		parallel    = flag.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS); the report is identical for every value")
-		shards      = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine)")
 		shootdown   = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
 		csvPath     = flag.String("csv", "", "also write the curves as CSV to this path")
 		check       = flag.Bool("check", false, "build the report twice (parallelism 1 and 8) and fail unless byte-identical")
-		checkShards = flag.Bool("checkshards", false, "also build the epoch-sharded report at shards 1 and 4 and fail unless byte-identical")
 
 		churn   = flag.Bool("churn", false, "SLO-under-churn mode: run the multi-tenant serving scenario per intensity instead of a single kernel (default policies static,spcd)")
 		tenants = flag.Int("tenants", 3, "churn mode: tenants in the serving schedule")
@@ -127,9 +124,8 @@ func main() {
 		}
 		cg := churnGrid{
 			tenants: *tenants, class: cls, policies: pols, axis: axis,
-			seed: *seed, reps: *reps, shards: *shards, budget: *budget,
+			seed: *seed, reps: *reps, budget: *budget,
 		}
-		warnOversubscribed(*parallel, *shards)
 		if *check {
 			rep1, csv1 := cg.run(1)
 			rep8, csv8 := cg.run(8)
@@ -137,14 +133,8 @@ func main() {
 				fatal(fmt.Errorf("determinism check failed: parallelism 1 and 8 disagree"))
 			}
 			fmt.Fprintln(os.Stderr, "check ok: churn report byte-identical at parallelism 1 and 8")
-			if *checkShards {
-				checkChurnShards(cg)
-			}
 			emit(rep1, csv1, *csvPath)
 		} else {
-			if *checkShards {
-				checkChurnShards(cg)
-			}
 			rep, csv := cg.run(*parallel)
 			emit(rep, csv, *csvPath)
 		}
@@ -156,7 +146,7 @@ func main() {
 
 	g := grid{
 		machine: mach, workload: w, policies: pols, axis: axis,
-		seed: *seed, reps: *reps, shards: *shards,
+		seed: *seed, reps: *reps,
 	}
 	if s := mach.Shootdown.String(); s != "none" {
 		g.shootdown = s
@@ -164,7 +154,6 @@ func main() {
 	if *runtimeDir != "" {
 		g.runtime = runtimeobs.New()
 	}
-	warnOversubscribed(*parallel, *shards)
 	if *check {
 		// Re-derive the full artifacts at two parallelism levels; any
 		// scheduling dependence anywhere in the fault or sweep layers shows
@@ -176,14 +165,8 @@ func main() {
 			fatal(fmt.Errorf("determinism check failed: parallelism 1 and 8 disagree"))
 		}
 		fmt.Fprintln(os.Stderr, "check ok: report byte-identical at parallelism 1 and 8")
-		if *checkShards {
-			checkShardIdentity(g)
-		}
 		emit(rep1, csv1, *csvPath)
 	} else {
-		if *checkShards {
-			checkShardIdentity(g)
-		}
 		rep, csv := g.run(*parallel)
 		emit(rep, csv, *csvPath)
 	}
@@ -218,7 +201,6 @@ type grid struct {
 	axis     []float64
 	seed     int64
 	reps     int
-	shards   int // 0: sequential engine; >=1: epoch-sharded engine
 
 	// shootdown is the TLB shootdown cost-model name when armed, "" for the
 	// historical mode-none output (which must stay byte-identical).
@@ -245,7 +227,6 @@ func (g grid) run(parallelism int) (report, csv string) {
 		runner := sweep.Runner{
 			Machine:     g.machine,
 			Parallelism: parallelism,
-			Shards:      g.shards,
 			Runtime:     g.runtime,
 			Seeder:      func(c sweep.Config) int64 { return g.seed + int64(c.Rep) + 1 },
 			FaultPlan:   &plan,
@@ -280,21 +261,6 @@ func (g grid) run(parallelism int) (report, csv string) {
 		}
 	}
 	return render(rows, g.policies, g.shootdown), renderCSV(rows, g.shootdown)
-}
-
-// checkShardIdentity proves the epoch-sharded engine's worker-count
-// independence for this grid: the full report and CSV must be byte-identical
-// at 1 and 4 shards. Run at parallelism 1 so the only variable is the shard
-// count.
-func checkShardIdentity(g grid) {
-	g1, g4 := g, g
-	g1.shards, g4.shards = 1, 4
-	rep1, csv1 := g1.run(1)
-	rep4, csv4 := g4.run(1)
-	if rep1 != rep4 || csv1 != csv4 {
-		fatal(fmt.Errorf("shard determinism check failed: shards 1 and 4 disagree"))
-	}
-	fmt.Fprintln(os.Stderr, "check ok: report byte-identical at shards 1 and 4")
 }
 
 // render produces the degradation-curve report: per policy, each intensity's
@@ -401,24 +367,6 @@ func emit(report, csv, csvPath string) {
 		fatal(fmt.Errorf("close %s: %w", csvPath, err))
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", csvPath)
-}
-
-// warnOversubscribed notes (without failing) when sweep-level parallelism
-// times intra-run sharding would oversubscribe the host; the report stays
-// byte-identical either way.
-func warnOversubscribed(parallel, shards int) {
-	if shards <= 0 {
-		return
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := workers * shards; total > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "chaossweep: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"runs stay byte-identical but will contend for cores\n",
-			workers, shards, total, runtime.GOMAXPROCS(0))
-	}
 }
 
 func fatal(err error) {

@@ -9,7 +9,6 @@
 //	npbsuite -metric time -kernels SP,BT,FT         # one figure, some kernels
 //	npbsuite -policies os,spcd,tlb,hwc -csv out.csv # comparators + CSV export
 //	npbsuite -parallel 8                            # bound the worker pool
-//	npbsuite -shards 4 -parallel 1                  # epoch-sharded engine inside each run
 //
 // The sweep fans out over a bounded worker pool (internal/sweep):
 // -parallel N bounds concurrent experiments, 0 selects GOMAXPROCS and 1
@@ -61,7 +60,6 @@ type options struct {
 	threads  int
 	seed     int64
 	parallel int
-	shards   int // 0: sequential engine; >=1: epoch-sharded engine
 	// shootdown is the translation-coherence cost model ("" or "none"
 	// keeps remaps free and the historical output bytes).
 	shootdown string
@@ -82,7 +80,6 @@ func main() {
 		threads   = flag.Int("threads", 32, "threads per benchmark")
 		seed      = flag.Int64("seed", 0, "master seed for the per-experiment seed derivation")
 		parallel  = flag.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS, 1 = sequential); results are identical for every value")
-		shards    = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine, identical results for every value >= 1)")
 		shootdown = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
 		csvPath   = flag.String("csv", "", "also write every table as CSV to this file")
 
@@ -98,13 +95,12 @@ func main() {
 
 	o := options{
 		class: *class, reps: *reps, metric: *metric,
-		threads: *threads, seed: *seed, parallel: *parallel, shards: *shards,
+		threads: *threads, seed: *seed, parallel: *parallel,
 		shootdown: *shootdown,
 	}
 	if *runtimeDir != "" {
 		o.runtime = spcd.NewRuntimeCollector()
 	}
-	warnOversubscribed("npbsuite", o.parallel, o.shards)
 	if *kernels != "" {
 		o.kernels = splitList(*kernels)
 	}
@@ -171,16 +167,10 @@ func buildReport(o options, progress func(done, total int, key string, err error
 	// Self-describing output: every result file carries the configuration
 	// that produced it, so archived tables can be reproduced exactly.
 	header := runMetadata(mach, names, pols, o.class, o.threads, o.reps, o.seed)
-	if o.shards > 0 {
-		// Unlike -parallel, -shards selects a different (epoch-sharded)
-		// engine whose results legitimately differ from the sequential
-		// engine's, so sharded tables record it. Sequential runs keep the
-		// historical header byte-for-byte.
-		header = append(header, fmt.Sprintf("# engine: epoch-sharded  shards: %d", o.shards))
-	}
 	if mach.Shootdown.String() != "none" {
-		// Like -shards: the cost model changes the numbers, so armed tables
-		// record it; mode none keeps the historical header byte-for-byte.
+		// Unlike -parallel, the cost model changes the numbers, so armed
+		// tables record it; mode none keeps the historical header
+		// byte-for-byte.
 		header = append(header, fmt.Sprintf("# shootdown: %s", mach.Shootdown))
 	}
 
@@ -193,7 +183,6 @@ func buildReport(o options, progress func(done, total int, key string, err error
 		Reps:        o.reps,
 		MasterSeed:  o.seed,
 		Parallelism: o.parallel,
-		Shards:      o.shards,
 		Runtime:     o.runtime,
 		OnProgress:  progress,
 	}.Run()
@@ -357,24 +346,6 @@ func tableII(names []string, results map[string]*spcd.Results) *report.Table {
 	addSimpleRow("Detection overhead", spcd.MetricDetectOvh, "%.2f%%")
 	addSimpleRow("Mapping overhead", spcd.MetricMappingOvh, "%.2f%%")
 	return t
-}
-
-// warnOversubscribed notes (without failing) when sweep-level parallelism
-// times intra-run sharding would oversubscribe the host: determinism is
-// unaffected, only wall-clock time suffers.
-func warnOversubscribed(tool string, parallel, shards int) {
-	if shards <= 0 {
-		return
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := workers * shards; total > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "%s: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"runs stay byte-identical but will contend for cores\n",
-			tool, workers, shards, total, runtime.GOMAXPROCS(0))
-	}
 }
 
 func splitList(s string) []string {

@@ -12,7 +12,6 @@
 //	perfbench -class small -reps 3             # best-of-3 per configuration
 //	perfbench -kernels CG,SP -policies os      # subset
 //	perfbench -parallel 1                      # uncontended timings (the refresh path)
-//	perfbench -shards 4 -o BENCH_shards.json   # time the epoch-sharded engine
 //	perfbench -cpuprofile cpu.pprof            # profile the sweep
 //
 // The sweep runs on the deterministic parallel runner (internal/sweep):
@@ -32,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -53,8 +51,6 @@ func main() {
 		threads    = flag.Int("threads", 32, "threads per benchmark")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		parallel   = flag.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS, 1 = sequential/uncontended)")
-		shards     = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine)")
-		shardaxis  = flag.String("shardaxis", "", "comma-separated shard counts to time in sequence (e.g. 0,4); overrides -shards, first entry is the baseline")
 		shootdown  = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
 		out        = flag.String("o", "BENCH_engine.json", "output JSON path (empty: stdout only)")
 		history    = flag.String("history", "", "append the record to this JSONL history (e.g. BENCH_history.jsonl) for cmd/benchdiff")
@@ -98,106 +94,61 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: note: %d workers contend for cores; "+
 			"per-experiment times are only comparable across -parallel 1 records\n", workers)
 	}
-	if *shards > 0 && workers**shards > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "perfbench: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"timings will be contended (results stay byte-identical)\n",
-			workers, *shards, workers**shards, runtime.GOMAXPROCS(0))
-	}
-	axis := []int{*shards}
-	if *shardaxis != "" {
-		axis = axis[:0]
-		for _, s := range splitList(*shardaxis) {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				fatal(fmt.Errorf("bad -shardaxis entry %q: %w", s, err))
-			}
-			axis = append(axis, v)
-		}
-		if len(axis) == 0 {
-			fatal(fmt.Errorf("-shardaxis is set but names no shard counts"))
-		}
-	}
-
-	bench := benchfmt.File{Class: cls.Name, Threads: *threads, Parallel: workers, Shards: axis[0],
+	bench := benchfmt.File{Class: cls.Name, Threads: *threads, Parallel: workers,
 		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU()}
 
-	// timeSweep runs one full timing sweep at the given shard count. Every
-	// rep of a configuration runs the same seed on purpose: this tool times
-	// identical work and keeps the minimum, so repetition narrows the
+	// Every rep of a configuration runs the same seed on purpose: this tool
+	// times identical work and keeps the minimum, so repetition narrows the
 	// measurement, not the workload.
-	timeSweep := func(shardCount int) (results []benchfmt.Result, totalAcc uint64, totalSec float64) {
-		configs := sweep.Product("nas", names, cls, *threads, pols, *reps)
-		start := time.Now()
-		runner := sweep.Runner{
-			Machine:     mach,
-			Parallelism: *parallel,
-			Shards:      shardCount,
-			Runtime:     rtc,
-			Seeder:      func(sweep.Config) int64 { return *seed },
-			//lint:ignore determinism-flow Now feeds only Result.WallNanos, the informational wall-clock column that DESIGN.md excludes from the determinism contract.
-			Now: func() int64 { return int64(time.Since(start)) },
-		}
-		rs, err := runner.Run(configs)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sweep.FirstErr(rs); err != nil {
-			fatal(err)
-		}
-
-		// Results arrive in canonical kernel-major, policy, rep-minor order:
-		// consecutive groups of *reps are one configuration.
-		for i := 0; i < len(rs); i += *reps {
-			group := rs[i : i+*reps]
-			c := group[0].Config
-			r := benchfmt.Result{Kernel: c.Kernel, Policy: c.Policy, Class: cls.Name,
-				Threads: *threads, Seed: *seed, Reps: *reps}
-			best := group[0].WallNanos
-			for _, run := range group {
-				if run.WallNanos < best {
-					best = run.WallNanos
-				}
-				r.SimAccesses = run.Metrics.Cache.Accesses
-			}
-			r.WallSeconds = time.Duration(best).Seconds()
-			if r.WallSeconds > 0 {
-				r.AccessesPerSec = float64(r.SimAccesses) / r.WallSeconds
-				r.NsPerAccess = r.WallSeconds * 1e9 / float64(r.SimAccesses)
-			}
-			totalAcc += r.SimAccesses
-			totalSec += r.WallSeconds
-			results = append(results, r)
-			fmt.Fprintf(os.Stderr, "%-4s %-6s %9.0f accesses/s  (%.1f ns/access, %d accesses in %.3fs, shards=%d)\n",
-				r.Kernel, r.Policy, r.AccessesPerSec, r.NsPerAccess, r.SimAccesses, r.WallSeconds, shardCount)
-		}
-		return results, totalAcc, totalSec
+	configs := sweep.Product("nas", names, cls, *threads, pols, *reps)
+	start := time.Now()
+	runner := sweep.Runner{
+		Machine:     mach,
+		Parallelism: *parallel,
+		Runtime:     rtc,
+		Seeder:      func(sweep.Config) int64 { return *seed },
+		//lint:ignore determinism-flow Now feeds only Result.WallNanos, the informational wall-clock column that DESIGN.md excludes from the determinism contract.
+		Now: func() int64 { return int64(time.Since(start)) },
+	}
+	rs, err := runner.Run(configs)
+	if err != nil {
+		fatal(err)
+	}
+	if err := sweep.FirstErr(rs); err != nil {
+		fatal(err)
 	}
 
-	for i, shardCount := range axis {
-		results, totalAcc, totalSec := timeSweep(shardCount)
-		point := benchfmt.AxisPoint{Shards: shardCount, TotalSeconds: totalSec}
-		if totalSec > 0 {
-			point.AccessesPerSec = float64(totalAcc) / totalSec
-			point.NsPerAccess = totalSec * 1e9 / float64(totalAcc)
+	// Results arrive in canonical kernel-major, policy, rep-minor order:
+	// consecutive groups of *reps are one configuration.
+	for i := 0; i < len(rs); i += *reps {
+		group := rs[i : i+*reps]
+		c := group[0].Config
+		r := benchfmt.Result{Kernel: c.Kernel, Policy: c.Policy, Class: cls.Name,
+			Threads: *threads, Seed: *seed, Reps: *reps}
+		best := group[0].WallNanos
+		for _, run := range group {
+			if run.WallNanos < best {
+				best = run.WallNanos
+			}
+			r.SimAccesses = run.Metrics.Cache.Accesses
 		}
-		if i == 0 {
-			// The first axis point is the canonical record: it owns the
-			// per-configuration detail and the top-level aggregates.
-			bench.Results = results
-			bench.TotalAccesses = totalAcc
-			bench.TotalSeconds = totalSec
-			bench.AccessesPerSec = point.AccessesPerSec
-			bench.NsPerAccess = point.NsPerAccess
-			point.SpeedupVsFirst = 1
-		} else if bench.AccessesPerSec > 0 {
-			point.SpeedupVsFirst = point.AccessesPerSec / bench.AccessesPerSec
+		r.WallSeconds = time.Duration(best).Seconds()
+		if r.WallSeconds > 0 {
+			r.AccessesPerSec = float64(r.SimAccesses) / r.WallSeconds
+			r.NsPerAccess = r.WallSeconds * 1e9 / float64(r.SimAccesses)
 		}
-		if len(axis) > 1 {
-			bench.ShardAxis = append(bench.ShardAxis, point)
-		}
-		fmt.Fprintf(os.Stderr, "aggregate: %.0f accesses/s (%.1f ns/access) over %d accesses in %.3fs at shards=%d (x%.2f vs first)\n",
-			point.AccessesPerSec, point.NsPerAccess, totalAcc, totalSec, shardCount, point.SpeedupVsFirst)
+		bench.TotalAccesses += r.SimAccesses
+		bench.TotalSeconds += r.WallSeconds
+		bench.Results = append(bench.Results, r)
+		fmt.Fprintf(os.Stderr, "%-4s %-6s %9.0f accesses/s  (%.1f ns/access, %d accesses in %.3fs)\n",
+			r.Kernel, r.Policy, r.AccessesPerSec, r.NsPerAccess, r.SimAccesses, r.WallSeconds)
 	}
+	if bench.TotalSeconds > 0 {
+		bench.AccessesPerSec = float64(bench.TotalAccesses) / bench.TotalSeconds
+		bench.NsPerAccess = bench.TotalSeconds * 1e9 / float64(bench.TotalAccesses)
+	}
+	fmt.Fprintf(os.Stderr, "aggregate: %.0f accesses/s (%.1f ns/access) over %d accesses in %.3fs\n",
+		bench.AccessesPerSec, bench.NsPerAccess, bench.TotalAccesses, bench.TotalSeconds)
 
 	blob, err := json.MarshalIndent(&bench, "", "  ")
 	if err != nil {

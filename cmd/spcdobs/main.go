@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"spcd"
@@ -48,7 +47,6 @@ func main() {
 		policies  = flag.String("policies", "os,spcd", "comma-separated policies to trace")
 		seed      = flag.Int64("seed", 1, "run seed")
 		parallel  = flag.Int("parallel", 1, "concurrent experiments (0 = GOMAXPROCS); artifacts are identical for every value")
-		shards    = flag.Int("shards", 0, "intra-run engine workers (0 = sequential engine; >=1 = epoch-sharded engine)")
 		dir       = flag.String("dir", ".", "output directory for trace/timeseries files")
 		sample    = flag.Uint64("sample", 0, "snapshot interval in cycles (0 = ~256 rows per run)")
 		shootdown = flag.String("shootdown", "none", "TLB shootdown cost model: none, ipi, or hatric")
@@ -102,7 +100,6 @@ func main() {
 		probeFor[pol] = probes[i]
 	}
 	sweepProbe := spcd.NewProbe(spcd.ObsOptions{})
-	warnOversubscribed(*parallel, *shards)
 	stopProf, err := prof.Start()
 	if err != nil {
 		fatal(err)
@@ -114,7 +111,6 @@ func main() {
 	runner := sweep.Runner{
 		Machine:     mach,
 		Parallelism: *parallel,
-		Shards:      *shards,
 		Runtime:     rtc,
 		Seeder:      func(sweep.Config) int64 { return *seed },
 		Observe:     func(c sweep.Config) *obs.Probe { return probeFor[c.Policy] },
@@ -181,7 +177,7 @@ func main() {
 			return sink.Flush(f)
 		})
 		if *check {
-			if err := runtimeobs.CheckArtifacts(*runtimeDir, *shards > 0); err != nil {
+			if err := runtimeobs.CheckArtifacts(*runtimeDir); err != nil {
 				fatal(err)
 			}
 			if err := checkTrace(combinedPath); err != nil {
@@ -312,24 +308,6 @@ func writeFile(path string, write func(*os.File) error) {
 		fatal(fmt.Errorf("close %s: %w", path, err))
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-// warnOversubscribed notes (without failing) when sweep-level parallelism
-// times intra-run sharding would oversubscribe the host; artifacts stay
-// byte-identical either way.
-func warnOversubscribed(parallel, shards int) {
-	if shards <= 0 {
-		return
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := workers * shards; total > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr, "spcdobs: warning: -parallel %d x -shards %d = %d goroutines exceeds GOMAXPROCS=%d; "+
-			"runs stay byte-identical but will contend for cores\n",
-			workers, shards, total, runtime.GOMAXPROCS(0))
-	}
 }
 
 func fatal(err error) {

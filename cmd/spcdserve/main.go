@@ -10,14 +10,13 @@
 //	spcdserve                                  # 3 tenants, class tiny, spcd
 //	spcdserve -tenants 4 -class small -policy tlb
 //	spcdserve -policy static -faults 0.5       # static baseline under faults
-//	spcdserve -check -checkshards              # prove byte-identity at
-//	                                           # parallelism 1/8 and shards 1/4
+//	spcdserve -check                           # prove byte-identity at
+//	                                           # parallelism 1/8
 //	spcdserve -csv tenants.csv -events events.log
 //
 // Determinism: the report is a pure function of (schedule, policy, seed,
 // fault plan). -check re-derives it as a 4-job batch at RunJobs parallelism
-// 1 and 8; -checkshards re-runs the scenario on the epoch-sharded engine at
-// 1 and 4 workers. Both must be byte-identical or the command fails.
+// 1 and 8; both must be byte-identical or the command fails.
 package main
 
 import (
@@ -37,12 +36,10 @@ func main() {
 		seed      = flag.Int64("seed", 42, "master seed (roots every derived stream)")
 		budget    = flag.Int("budget", 4, "churn governor: max thread moves per interval")
 		intervals = flag.Int("maxintervals", 0, "watchdog bound on intervals (0 = default 1024)")
-		shards    = flag.Int("shards", 0, "intra-interval engine workers (0 = sequential engine; >=1 = epoch-sharded)")
 		faults    = flag.Float64("faults", 0, "fault intensity in [0,1]; >0 arms the default plan incl. admission failures")
 		csvPath   = flag.String("csv", "", "write per-tenant rows as CSV to this path")
 		events    = flag.String("events", "", "write the adaptation event log (admissions, remaps, deferrals) to this path")
 		check     = flag.Bool("check", false, "run a 4-seed batch at parallelism 1 and 8 and fail unless reports are byte-identical")
-		chkShards = flag.Bool("checkshards", false, "also run the scenario at shards 1 and 4 and fail unless byte-identical")
 	)
 	flag.Parse()
 
@@ -54,7 +51,6 @@ func main() {
 	spec.Policy = *policyStr
 	spec.MigrationBudget = *budget
 	spec.MaxIntervals = *intervals
-	spec.Shards = *shards
 	if *faults > 0 {
 		plan := spcd.DefaultFaultPlan(*seed, *faults)
 		spec.Faults = &plan
@@ -62,9 +58,6 @@ func main() {
 
 	if *check {
 		checkParallelism(spec)
-	}
-	if *chkShards {
-		checkShardIdentity(spec)
 	}
 
 	var probe *spcd.Probe
@@ -109,26 +102,6 @@ func checkParallelism(spec spcd.Scenario) {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "check ok: reports byte-identical at parallelism 1 and 8")
-}
-
-// checkShardIdentity reruns the scenario on the epoch-sharded engine at 1
-// and 4 intra-interval workers; the reports must be byte-identical.
-func checkShardIdentity(spec spcd.Scenario) {
-	s1, s4 := spec, spec
-	s1.Shards, s4.Shards = 1, 4
-	s1.Probe, s4.Probe = nil, nil
-	r1, err := spcd.Serve(s1)
-	if err != nil {
-		fatal(err)
-	}
-	r4, err := spcd.Serve(s4)
-	if err != nil {
-		fatal(err)
-	}
-	if r1.Render() != r4.Render() {
-		fatal(fmt.Errorf("shard determinism check failed: shards 1 and 4 disagree"))
-	}
-	fmt.Fprintln(os.Stderr, "check ok: report byte-identical at shards 1 and 4")
 }
 
 // writeEvents dumps the scenario's adaptation events, one per line at global

@@ -80,14 +80,6 @@ type Experiment struct {
 	// execution.
 	Parallelism int
 
-	// Shards selects the engine each run executes on: 0 (the default) is
-	// the sequential engine; >= 1 uses the epoch-sharded engine with that
-	// many intra-run workers. Sharded results are byte-identical for every
-	// value >= 1 but intentionally differ from the sequential engine (see
-	// DESIGN.md §13). Shards composes with Parallelism — the total worker
-	// count is roughly Parallelism × Shards.
-	Shards int
-
 	// Observe, if set, is called once per run before it starts and may
 	// return a fresh Probe to record that run's time series and event
 	// trace (nil leaves the run unobserved). It must return a distinct
@@ -150,7 +142,6 @@ func (e Experiment) Run() (*Results, error) {
 		Parallelism: e.Parallelism,
 		Seeder:      func(c sweep.Config) int64 { return e.BaseSeed + int64(c.Rep) + 1 },
 		FaultPlan:   e.Faults,
-		Shards:      e.Shards,
 		Runtime:     e.Runtime,
 	}
 	if e.Observe != nil {

@@ -165,17 +165,14 @@ func isEntryNode(n *Node) bool {
 	case "spcd":
 		return recv == nil && strings.HasPrefix(name, "Run")
 	case "spcd/internal/engine":
-		// runSharded and simulateCore are entry points in their own right
-		// (not just via Run) so the epoch-sharded worker bodies stay covered
-		// even if a refactor detaches them from the public dispatch.
-		return name == "Run" || name == "runSharded" || name == "simulateCore"
+		return name == "Run"
 	case "spcd/internal/sweep":
 		return recv != nil && name == "Run"
 	case "spcd/internal/scenario":
 		// The multi-tenant serving loop and its churn governor: every
 		// admission draw, boundary remap and budget decision must stay on
 		// the deterministic path or the scenario byte-identity contract
-		// (same seed, any parallelism/shard count) breaks.
+		// (same seed, any parallelism) breaks.
 		return (recv == nil && strings.HasPrefix(name, "Run")) ||
 			(recv != nil && (name == "propose" || name == "Tick"))
 	case "spcd/internal/policy", "spcd/internal/mapping", "spcd/internal/core":
@@ -186,7 +183,7 @@ func isEntryNode(n *Node) bool {
 		// The translation-coherence charging paths: every remap, unmap and
 		// present-bit clear prices its TLB shootdown here, and the remote
 		// stalls drain into thread clocks, so a nondeterministic draw on any
-		// of these would break the shard/parallelism byte-identity contract.
+		// of these would break the parallelism byte-identity contract.
 		return recv != nil && (name == "ClearPresentAt" || name == "TryMigratePageAt" ||
 			name == "Unmap" || name == "DrainRemoteStalls")
 	}

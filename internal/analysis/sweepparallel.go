@@ -26,11 +26,10 @@ import (
 //
 // The rule follows same-package calls: `go worker()` is analyzed through
 // the declaration of worker, and helpers invoked from within a goroutine
-// body — the epoch-sharded engine's workers delegate all simulation to such
-// a helper — are analyzed transitively, each declaration once per package.
-// A helper that mutates only its own parameters and locals (the engine's
-// shard-worker contract) stays silent; a write to anything declared outside
-// it fires.
+// body — scenario.RunJobs' workers delegate every job to such a helper —
+// are analyzed transitively, each declaration once per package. A helper
+// that mutates only its own parameters and locals stays silent; a write to
+// anything declared outside it fires.
 var SweepParallel = &Analyzer{
 	Name: "sweep-parallel",
 	Doc:  "forbid shared rand sources and unsynchronized shared writes in goroutine bodies",
@@ -111,9 +110,9 @@ func checkWorkerBody(pass *Pass, file *ast.File, fn ast.Node, body *ast.BlockStm
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.CallExpr:
-			// Follow same-package helper calls: the shard-worker idiom runs
-			// `go func(...) { simulateCore(...) }` and all the interesting
-			// writes live in the helper.
+			// Follow same-package helper calls: the worker-pool idiom runs
+			// `go func() { ... runJob(...) }` and all the interesting writes
+			// live in the helper.
 			if id, ok := v.Fun.(*ast.Ident); ok {
 				if site := decls[pass.ObjectOf(id)]; site.fd != nil && site.fd.Body != nil && !analyzed[site.fd] {
 					analyzed[site.fd] = true

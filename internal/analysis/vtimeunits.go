@@ -15,9 +15,10 @@ import (
 // obs registrations declare it in the metric name. A cycles-named value may
 // not meet a nanos-named value in arithmetic, comparison, assignment,
 // argument passing, or a metric reader without an explicit conversion call
-// (a *ToCycles/*ToNanos-style helper): under a sharded engine, where
-// per-shard clocks merge constantly, a silent cycles/ns mix-up is exactly
-// the bug class that compiles, runs, and quietly skews every figure.
+// (a *ToCycles/*ToNanos-style helper): with host wall-clock timing and
+// simulated cycles flowing through the same tools, a silent cycles/ns
+// mix-up is exactly the bug class that compiles, runs, and quietly skews
+// every figure.
 var VtimeUnits = &ModuleAnalyzer{
 	Name: "vtime-units",
 	Doc:  "cycles-named and nanosecond-named values may not mix without an explicit conversion call",

@@ -29,32 +29,18 @@ type Result struct {
 // Key identifies the result's configuration for cross-record matching.
 func (r Result) Key() string { return r.Kernel + "/" + r.Policy }
 
-// AxisPoint is the aggregate throughput of one shard count in a -shardaxis
-// run; the first point is the baseline the speedups are relative to.
-type AxisPoint struct {
-	Shards         int     `json:"shards"` // 0 = sequential engine
-	TotalSeconds   float64 `json:"total_wall_seconds"`
-	AccessesPerSec float64 `json:"aggregate_accesses_per_sec"`
-	NsPerAccess    float64 `json:"aggregate_ns_per_access"`
-	SpeedupVsFirst float64 `json:"speedup_vs_first"`
-}
-
 // File is the schema of BENCH_engine.json.
 type File struct {
-	Class          string  `json:"class"`
-	Threads        int     `json:"threads"`
-	Parallel       int     `json:"parallel"` // worker bound the sweep ran with
-	Shards         int     `json:"shards"`   // intra-run engine workers (0 = sequential engine)
-	GoVersion      string  `json:"go_version"`
-	NumCPU         int     `json:"num_cpu"` // cores the timing host exposed
-	TotalAccesses  uint64  `json:"total_sim_accesses"`
-	TotalSeconds   float64 `json:"total_wall_seconds"`
-	AccessesPerSec float64 `json:"aggregate_accesses_per_sec"`
-	NsPerAccess    float64 `json:"aggregate_ns_per_access"`
-	// ShardAxis records one aggregate per -shardaxis shard count (the
-	// per-configuration Results detail belongs to the first point).
-	ShardAxis []AxisPoint `json:"shard_axis,omitempty"`
-	Results   []Result    `json:"results"`
+	Class          string   `json:"class"`
+	Threads        int      `json:"threads"`
+	Parallel       int      `json:"parallel"` // worker bound the sweep ran with
+	GoVersion      string   `json:"go_version"`
+	NumCPU         int      `json:"num_cpu"` // cores the timing host exposed
+	TotalAccesses  uint64   `json:"total_sim_accesses"`
+	TotalSeconds   float64  `json:"total_wall_seconds"`
+	AccessesPerSec float64  `json:"aggregate_accesses_per_sec"`
+	NsPerAccess    float64  `json:"aggregate_ns_per_access"`
+	Results        []Result `json:"results"`
 }
 
 // HistoryEntry is one line of BENCH_history.jsonl: a full benchmark record

@@ -382,6 +382,17 @@ func (h *Hierarchy) PageSharerCores(addr, size uint64) uint32 {
 	return sharers
 }
 
+// peekEntry returns a copy of line's directory entry without allocating a
+// chunk: a never-touched line reads as the zero entry, which is exactly the
+// semantics entry() would create for it.
+func (h *Hierarchy) peekEntry(line uint64) dirEntry {
+	c := line >> dirChunkBits
+	if c >= uint64(len(h.dir)) || h.dir[c] == nil {
+		return dirEntry{}
+	}
+	return h.dir[c][line&dirChunkMask]
+}
+
 func (h *Hierarchy) entry(line uint64) *dirEntry {
 	c := line >> dirChunkBits
 	if c >= uint64(len(h.dir)) {

@@ -105,16 +105,6 @@ type Config struct {
 	// the hot loop pays one pointer comparison per slice and the simulated
 	// stream is byte-identical to a run without injection support.
 	Injector *faultinject.Injector
-	// Shards selects the execution engine. 0 (the default) runs the
-	// sequential engine — the exact code path every golden metric and
-	// zero-alloc gate pins. Values >= 1 run the epoch-sharded engine (see
-	// shard.go / DESIGN.md §13) with that many workers; its results are
-	// byte-identical for every worker count, but — deliberately and
-	// deterministically — not identical to the sequential engine's, because
-	// cross-core coherence effects land at epoch boundaries. Values above
-	// the machine's core count are clamped (extra workers would own no
-	// cores).
-	Shards int
 	// Runtime, when non-nil, records host wall-clock spans for this run
 	// (see internal/runtimeobs): where the *host* spends time, as opposed
 	// to Probe's virtual-time view of the simulated machine. The contract
@@ -234,9 +224,6 @@ func (h *clockHeap) Pop() interface{} {
 func Run(cfg Config) (Metrics, error) {
 	if err := cfg.normalize(); err != nil {
 		return Metrics{}, err
-	}
-	if cfg.Shards > 0 {
-		return runSharded(cfg)
 	}
 	// Host-time spans: the sequential engine records run-level phases only
 	// (init / simulate / finalize), keeping the golden-pinned access loop
@@ -366,7 +353,7 @@ func Run(cfg Config) (Metrics, error) {
 		}
 	}
 	tSim := rt.Now()
-	rtLane.SpanAt(runtimeobs.SpanInit, tStart, tSim, -1, -1)
+	rtLane.SpanAt(runtimeobs.SpanInit, tStart, tSim, -1)
 
 	for h.Len() > 0 {
 		th := h[0]
@@ -412,7 +399,7 @@ func Run(cfg Config) (Metrics, error) {
 			// issued: each affected core's cycles land on the threads placed
 			// there, in thread order. All shootdown sources run inside
 			// Policy.Tick, so this drain is the only place the charge can
-			// appear — single-threaded here and at the sharded barrier alike.
+			// appear.
 			if stalls, any := as.DrainRemoteStalls(sdStalls); any {
 				sdStalls = stalls
 				for t := 0; t < n; t++ {
@@ -507,7 +494,7 @@ func Run(cfg Config) (Metrics, error) {
 		probe.Snapshot(execCycles)
 	}
 	tFin := rt.Now()
-	rtLane.SpanAt(runtimeobs.SpanSimulate, tSim, tFin, -1, -1)
+	rtLane.SpanAt(runtimeobs.SpanSimulate, tSim, tFin, -1)
 
 	m := Metrics{
 		Policy:          cfg.Policy.Name(),
@@ -543,10 +530,9 @@ func Run(cfg Config) (Metrics, error) {
 		m.MappingOverheadPct = 100 * float64(ov.MappingCycles) / totalCPU
 	}
 	tEnd := rt.Now()
-	rtLane.SpanAt(runtimeobs.SpanFinalize, tFin, tEnd, -1, -1)
-	rtLane.SpanAt(runtimeobs.SpanRun, tStart, tEnd, -1, -1)
+	rtLane.SpanAt(runtimeobs.SpanFinalize, tFin, tEnd, -1)
+	rtLane.SpanAt(runtimeobs.SpanRun, tStart, tEnd, -1)
 	rt.SetMeta("kind", "engine")
-	rt.SetMeta("mode", "sequential")
 	return m, nil
 }
 

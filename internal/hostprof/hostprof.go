@@ -2,8 +2,8 @@
 // flag set (-pprofaddr, -cpuprofile, -memprofile, -blockprofile,
 // -mutexprofile) registered identically everywhere, so any run of any
 // tool can be profiled the same way. It complements internal/runtimeobs:
-// the runtime trace says *where* the host time went structurally (worker,
-// barrier, merge); a profile says which functions burned it.
+// the runtime trace says *where* the host time went structurally (sweep
+// pool, engine phases); a profile says which functions burned it.
 package hostprof
 
 import (
@@ -34,7 +34,7 @@ func RegisterFlags() *Config {
 	flag.StringVar(&c.PprofAddr, "pprofaddr", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
 	flag.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile at exit to this file")
-	flag.StringVar(&c.BlockProfile, "blockprofile", "", "write a goroutine blocking profile at exit to this file (epoch-barrier waits show up here)")
+	flag.StringVar(&c.BlockProfile, "blockprofile", "", "write a goroutine blocking profile at exit to this file (sweep-pool waits show up here)")
 	flag.StringVar(&c.MutexProfile, "mutexprofile", "", "write a mutex contention profile at exit to this file")
 	return c
 }

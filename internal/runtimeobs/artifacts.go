@@ -87,11 +87,11 @@ func ValidateTrace(data []byte) error {
 	return fmt.Errorf("runtime trace holds no complete (\"X\") span events")
 }
 
-// ValidateSummary checks that data parses as a summary document with at
-// least one proc and finite diagnostics. With requireSharded it
-// additionally demands an epoch-sharded engine proc that did work and
-// reported the barrier diagnostics — the runtimeobs-smoke contract.
-func ValidateSummary(data []byte, requireSharded bool) error {
+// ValidateSummary checks that data parses as a summary document holding
+// at least one engine proc that did simulate work, with every engine phase
+// finite and non-negative — the runtimeobs-smoke contract, so an empty or
+// broken summary fails the check.
+func ValidateSummary(data []byte) error {
 	var s Summary
 	if err := json.Unmarshal(data, &s); err != nil {
 		return fmt.Errorf("runtime summary does not parse: %w", err)
@@ -99,43 +99,37 @@ func ValidateSummary(data []byte, requireSharded bool) error {
 	if len(s.Procs) == 0 {
 		return fmt.Errorf("runtime summary holds no procs")
 	}
-	finite := func(name string, v float64) error {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("runtime summary diagnostic %s is not finite: %v", name, v)
-		}
-		return nil
-	}
-	sharded := false
+	worked := false
 	for _, p := range s.Procs {
 		e := p.Engine
 		if e == nil {
 			continue
 		}
-		if err := finite("barrier_stall_fraction", e.BarrierStallFraction); err != nil {
-			return err
-		}
-		if err := finite("load_imbalance_ratio", e.LoadImbalanceRatio); err != nil {
-			return err
-		}
-		if err := finite("merge_share", e.MergeShare); err != nil {
-			return err
-		}
-		if e.Mode == "epoch-sharded" && e.Epochs > 0 && e.SimulateSeconds > 0 {
-			if e.LoadImbalanceRatio < 1 {
-				return fmt.Errorf("sharded run reports load_imbalance_ratio %v < 1 (max/mean cannot be)", e.LoadImbalanceRatio)
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{
+			{"init_seconds", e.InitSeconds},
+			{"simulate_seconds", e.SimulateSeconds},
+			{"finalize_seconds", e.FinalizeSeconds},
+		} {
+			if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+				return fmt.Errorf("runtime summary proc %q: %s = %v, want finite and >= 0", p.Name, f.name, f.v)
 			}
-			sharded = true
+		}
+		if e.SimulateSeconds > 0 {
+			worked = true
 		}
 	}
-	if requireSharded && !sharded {
-		return fmt.Errorf("runtime summary holds no epoch-sharded engine proc with work; want one for the sharded smoke")
+	if !worked {
+		return fmt.Errorf("runtime summary holds no engine proc with simulate_seconds > 0")
 	}
 	return nil
 }
 
 // CheckArtifacts validates the artifact pair WriteArtifacts produced under
 // dir (the -check mode of the tools' -runtimeobs flag).
-func CheckArtifacts(dir string, requireSharded bool) error {
+func CheckArtifacts(dir string) error {
 	trace, err := os.ReadFile(filepath.Join(dir, TraceFileName))
 	if err != nil {
 		return err
@@ -147,5 +141,5 @@ func CheckArtifacts(dir string, requireSharded bool) error {
 	if err != nil {
 		return err
 	}
-	return ValidateSummary(summary, requireSharded)
+	return ValidateSummary(summary)
 }

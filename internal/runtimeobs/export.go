@@ -33,8 +33,7 @@ func usec(d Stamp) string {
 }
 
 // WriteChromeTrace writes the collector's spans as a standalone Chrome
-// trace. Spans render as "X" complete events; per-epoch spans carry an
-// "epoch" arg so a Perfetto query can aggregate by epoch.
+// trace. Spans render as "X" complete events.
 func WriteChromeTrace(w io.Writer, c *Collector) error {
 	sink := obs.NewTraceSink()
 	AppendTrace(sink, c, 0)
@@ -71,20 +70,12 @@ func appendProc(sink *obs.TraceSink, p *Proc, pid int) {
 		sink.Emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
 			pid, tid, obs.JSONString(l.name)))
 		for _, s := range l.spans {
-			var args strings.Builder
-			args.WriteByte('{')
-			if s.Epoch >= 0 {
-				fmt.Fprintf(&args, `"epoch":%d`, s.Epoch)
-			}
+			args := "{}"
 			if s.Arg >= 0 {
-				if args.Len() > 1 {
-					args.WriteByte(',')
-				}
-				fmt.Fprintf(&args, `"arg":%d`, s.Arg)
+				args = fmt.Sprintf(`{"arg":%d}`, s.Arg)
 			}
-			args.WriteByte('}')
 			sink.Emit(fmt.Sprintf(`{"name":%s,"cat":"host","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":%s}`,
-				obs.JSONString(s.Name), usec(s.Start), usec(s.End-s.Start), pid, tid, args.String()))
+				obs.JSONString(s.Name), usec(s.Start), usec(s.End-s.Start), pid, tid, args))
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package runtimeobs is the host-side, wall-clock twin of internal/obs: a
 // span collector for where the *host* spends time running a simulation —
-// shard-worker simulate phases, barrier waits, merge passes, sweep-pool
-// occupancy — as opposed to obs, which records what the *simulated* machine
-// did in virtual cycles.
+// engine init / simulate / finalize phases, sweep-pool occupancy — as
+// opposed to obs, which records what the *simulated* machine did in
+// virtual cycles.
 //
 // Two contracts make it safe to attach to deterministic runs:
 //
@@ -19,10 +19,8 @@
 //     runtime observability on or off.
 //
 // Concurrency model: a Collector and its Procs are safe for concurrent
-// use; a Lane is owned by exactly one goroutine at a time (the engine
-// hands each shard worker its own lane, and emits barrier-phase spans into
-// worker lanes only between epochs, after the barrier's happens-before
-// edge).
+// use; a Lane is owned by exactly one goroutine at a time (one engine run,
+// one sweep-pool worker).
 package runtimeobs
 
 import (
@@ -44,19 +42,8 @@ const (
 	SpanRun = "run"
 	// SpanInit covers engine setup plus the workload's init phase.
 	SpanInit = "init"
-	// SpanSimulate is the parallelizable work: one shard worker's portion
-	// of one epoch (sharded engine) or the whole main loop (sequential).
+	// SpanSimulate is the engine's main scheduling loop.
 	SpanSimulate = "simulate"
-	// SpanBarrierWait is the time a shard worker sat finished at the epoch
-	// barrier while stragglers ran.
-	SpanBarrierWait = "barrier.wait"
-	// SpanMerge is the single-threaded canonical-order merge at the epoch
-	// barrier (event replay, stat merge, obs flush).
-	SpanMerge = "merge"
-	// SpanFaults is deferred page-fault resolution at the barrier.
-	SpanFaults = "faults"
-	// SpanPolicyTick is policy tick catch-up plus registry snapshots.
-	SpanPolicyTick = "policy.tick"
 	// SpanFinalize is metrics assembly after the main loop.
 	SpanFinalize = "finalize"
 	// SpanExperiment is one experiment occupying one sweep-pool worker.
@@ -68,8 +55,7 @@ type Span struct {
 	Name  string
 	Start Stamp
 	End   Stamp
-	Epoch int64 // epoch index for per-epoch spans, -1 otherwise
-	Arg   int64 // name-dependent payload (config index, fault count), -1 unused
+	Arg   int64 // name-dependent payload (config index), -1 unused
 }
 
 // Collector is the root of one process's runtime observations. The zero
@@ -141,8 +127,8 @@ func (p *Proc) Now() Stamp {
 	return p.c.Now()
 }
 
-// Lane opens a new single-goroutine span buffer under p (one shard worker,
-// the barrier, one sweep worker). Returns nil when disabled.
+// Lane opens a new single-goroutine span buffer under p (an engine run,
+// one sweep worker). Returns nil when disabled.
 func (p *Proc) Lane(name string) *Lane {
 	if p == nil {
 		return nil
@@ -154,8 +140,8 @@ func (p *Proc) Lane(name string) *Lane {
 	return l
 }
 
-// SetMeta records one string label on the proc (kind, engine mode),
-// replacing any previous value for key.
+// SetMeta records one string label on the proc (kind), replacing any
+// previous value for key.
 func (p *Proc) SetMeta(key, val string) {
 	if p == nil {
 		return
@@ -171,8 +157,7 @@ func (p *Proc) SetMeta(key, val string) {
 	p.meta = append(p.meta, MetaKV{Key: key, Val: val})
 }
 
-// SetMetaInt records one integer label on the proc (shard count, worker
-// count).
+// SetMetaInt records one integer label on the proc (worker count).
 func (p *Proc) SetMetaInt(key string, v int64) {
 	p.SetMeta(key, strconv.FormatInt(v, 10))
 }
@@ -203,13 +188,13 @@ type Lane struct {
 	spans []Span
 }
 
-// SpanAt records one closed interval with explicit stamps. Pass epoch/arg
-// as -1 when not meaningful. The explicit-stamp form (rather than an
-// internal clock read) keeps the emit API pure and lets tests drive the
-// summary math deterministically.
-func (l *Lane) SpanAt(name string, start, end Stamp, epoch, arg int64) {
+// SpanAt records one closed interval with explicit stamps. Pass arg as -1
+// when not meaningful. The explicit-stamp form (rather than an internal
+// clock read) keeps the emit API pure and lets tests drive the summary
+// math deterministically.
+func (l *Lane) SpanAt(name string, start, end Stamp, arg int64) {
 	if l == nil {
 		return
 	}
-	l.spans = append(l.spans, Span{Name: name, Start: start, End: end, Epoch: epoch, Arg: arg})
+	l.spans = append(l.spans, Span{Name: name, Start: start, End: end, Arg: arg})
 }

@@ -21,9 +21,9 @@ func TestNilCollectorIsFree(t *testing.T) {
 		p := c.Proc("engine")
 		l := p.Lane("worker 0")
 		start := p.Now()
-		l.SpanAt(SpanSimulate, start, c.Now(), 3, -1)
+		l.SpanAt(SpanSimulate, start, c.Now(), -1)
 		p.SetMeta("kind", "engine")
-		p.SetMetaInt("shards", 4)
+		p.SetMetaInt("workers", 4)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-collector emit path allocates %v times per op; want 0", allocs)
@@ -33,35 +33,26 @@ func TestNilCollectorIsFree(t *testing.T) {
 	}
 }
 
-// shardedFixture builds a collector whose engine proc has hand-placed
+// engineFixture builds a collector whose engine proc has hand-placed
 // stamps, so the summary math is checked against exact expectations
 // (SpanAt takes explicit stamps precisely to make this deterministic).
 //
-// Timeline (ns): two workers, one epoch. Worker 0 simulates 0-100, worker
-// 1 simulates 0-50 then waits 50-100; the barrier merges 100-120, resolves
-// faults 120-125, ticks 125-130; the run span covers 0-200.
-func shardedFixture() *Collector {
+// Timeline (ns): init 0-10, simulate 10-180, finalize 180-190; the run
+// span covers 0-200.
+func engineFixture() *Collector {
 	c := New()
 	p := c.Proc("run CG")
 	p.SetMeta("kind", "engine")
-	p.SetMeta("mode", "epoch-sharded")
-	p.SetMetaInt("shards", 2)
 	run := p.Lane("run")
-	w0 := p.Lane("worker 0")
-	w1 := p.Lane("worker 1")
-	bar := p.Lane("barrier")
-	w0.SpanAt(SpanSimulate, 0, 100, 0, -1)
-	w1.SpanAt(SpanSimulate, 0, 50, 0, -1)
-	w1.SpanAt(SpanBarrierWait, 50, 100, 0, -1)
-	bar.SpanAt(SpanMerge, 100, 120, 0, -1)
-	bar.SpanAt(SpanFaults, 120, 125, 0, 2)
-	bar.SpanAt(SpanPolicyTick, 125, 130, 0, -1)
-	run.SpanAt(SpanRun, 0, 200, -1, -1)
+	run.SpanAt(SpanInit, 0, 10, -1)
+	run.SpanAt(SpanSimulate, 10, 180, -1)
+	run.SpanAt(SpanFinalize, 180, 190, -1)
+	run.SpanAt(SpanRun, 0, 200, -1)
 	return c
 }
 
 func TestEngineSummaryMath(t *testing.T) {
-	s := Summarize(shardedFixture())
+	s := Summarize(engineFixture())
 	if len(s.Procs) != 1 || s.Procs[0].Engine == nil {
 		t.Fatalf("want one engine proc, got %+v", s.Procs)
 	}
@@ -72,42 +63,15 @@ func TestEngineSummaryMath(t *testing.T) {
 		got  float64
 		want float64
 	}{
-		{"simulate", ns(e.SimulateSeconds), 150},
-		{"barrier_wait", ns(e.BarrierWaitSeconds), 50},
-		{"merge", ns(e.MergeSeconds), 20},
-		{"fault", ns(e.FaultSeconds), 5},
-		{"tick", ns(e.TickSeconds), 5},
-		{"barrier_stall_fraction", e.BarrierStallFraction, 50.0 / 200.0},
-		{"load_imbalance_ratio", e.LoadImbalanceRatio, 100.0 / 75.0},
-		{"merge_share", e.MergeShare, 20.0 / 200.0},
+		{"init", ns(e.InitSeconds), 10},
+		{"simulate", ns(e.SimulateSeconds), 170},
+		{"finalize", ns(e.FinalizeSeconds), 10},
+		{"proc wall", ns(s.Procs[0].WallSeconds), 200},
+		{"summary wall", ns(s.WallSeconds), 200},
 	}
 	for _, c := range checks {
 		if !almost(c.got, c.want) {
 			t.Errorf("%s = %v; want %v", c.name, c.got, c.want)
-		}
-	}
-	if e.Epochs != 1 || e.Shards != 2 || e.Mode != "epoch-sharded" {
-		t.Errorf("epochs/shards/mode = %d/%d/%q; want 1/2/epoch-sharded", e.Epochs, e.Shards, e.Mode)
-	}
-	cp := e.CriticalPath
-	if cp == nil {
-		t.Fatal("sharded summary lacks critical path")
-	}
-	cpChecks := []struct {
-		name string
-		got  float64
-		want float64
-	}{
-		{"ideal_parallel", ns(cp.IdealParallelSeconds), 75},
-		{"imbalance", ns(cp.ImbalanceSeconds), 25},
-		{"serial_merge", ns(cp.SerialMergeSeconds), 30},
-		{"other", ns(cp.OtherSeconds), 70},
-		{"sequential_estimate", ns(cp.SequentialEstimateSeconds), 180},
-		{"estimated_speedup", cp.EstimatedSpeedup, 180.0 / 200.0},
-	}
-	for _, c := range cpChecks {
-		if !almost(c.got, c.want) {
-			t.Errorf("critical path %s = %v; want %v", c.name, c.got, c.want)
 		}
 	}
 }
@@ -120,10 +84,10 @@ func TestSweepSummaryMath(t *testing.T) {
 	pool := p.Lane("sweep")
 	w0 := p.Lane("worker 0")
 	w1 := p.Lane("worker 1")
-	w0.SpanAt(SpanExperiment, 0, 60, -1, 0)
-	w1.SpanAt(SpanExperiment, 10, 50, -1, 1)
-	w0.SpanAt(SpanExperiment, 70, 100, -1, 2)
-	pool.SpanAt(SpanRun, 0, 100, -1, 3)
+	w0.SpanAt(SpanExperiment, 0, 60, 0)
+	w1.SpanAt(SpanExperiment, 10, 50, 1)
+	w0.SpanAt(SpanExperiment, 70, 100, 2)
+	pool.SpanAt(SpanRun, 0, 100, 3)
 	s := Summarize(c)
 	if len(s.Procs) != 1 || s.Procs[0].Sweep == nil {
 		t.Fatalf("want one sweep proc, got %+v", s.Procs)
@@ -145,7 +109,7 @@ func TestSweepSummaryMath(t *testing.T) {
 
 func TestChromeTraceExport(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, shardedFixture()); err != nil {
+	if err := WriteChromeTrace(&buf, engineFixture()); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateTrace(buf.Bytes()); err != nil {
@@ -156,7 +120,7 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Fatalf("exported trace is not valid JSON: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"host: run CG"`, `"worker 0"`, `"worker 1"`, `"barrier.wait"`, `"epoch":0`, `kind=engine`} {
+	for _, want := range []string{`"host: run CG"`, `"run"`, `"simulate"`, `"finalize"`, `kind=engine`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace lacks %s:\n%s", want, out)
 		}
@@ -165,10 +129,10 @@ func TestChromeTraceExport(t *testing.T) {
 
 func TestArtifactsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteArtifacts(dir, shardedFixture()); err != nil {
+	if err := WriteArtifacts(dir, engineFixture()); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckArtifacts(dir, true); err != nil {
+	if err := CheckArtifacts(dir); err != nil {
 		t.Fatalf("artifacts written by WriteArtifacts fail their own check: %v", err)
 	}
 }
@@ -181,26 +145,33 @@ func TestValidateSummaryRejects(t *testing.T) {
 		}
 		return b
 	}
-	// No sharded proc when one is required.
-	seq := Summary{SchemaVersion: 1, Procs: []ProcSummary{{
-		Name: "run", Kind: "engine", Engine: &EngineSummary{Mode: "sequential"},
-	}}}
-	if err := ValidateSummary(marshal(seq), true); err == nil {
-		t.Error("sequential-only summary passed requireSharded validation")
+	engine := func(e EngineSummary) ProcSummary {
+		return ProcSummary{Name: "run", Kind: "engine", Engine: &e}
 	}
-	if err := ValidateSummary(marshal(seq), false); err != nil {
-		t.Errorf("sequential-only summary failed non-sharded validation: %v", err)
+	good := Summary{SchemaVersion: 2, Procs: []ProcSummary{engine(EngineSummary{SimulateSeconds: 1})}}
+	if err := ValidateSummary(marshal(good)); err != nil {
+		t.Errorf("engine summary with simulate work failed validation: %v", err)
 	}
-	// An impossible imbalance ratio (max/mean < 1).
-	bad := Summary{SchemaVersion: 1, Procs: []ProcSummary{{
-		Name: "run", Kind: "engine", Engine: &EngineSummary{
-			Mode: "epoch-sharded", Epochs: 4, SimulateSeconds: 1, LoadImbalanceRatio: 0.5,
-		},
-	}}}
-	if err := ValidateSummary(marshal(bad), true); err == nil {
-		t.Error("summary with load_imbalance_ratio < 1 passed validation")
-	}
-	if err := ValidateSummary([]byte("{"), false); err == nil {
-		t.Error("truncated summary passed validation")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"no procs", marshal(Summary{SchemaVersion: 2})},
+		// An engine proc that recorded no simulate span: the run was not
+		// actually observed.
+		{"engine without simulate work", marshal(Summary{SchemaVersion: 2, Procs: []ProcSummary{
+			engine(EngineSummary{InitSeconds: 1, FinalizeSeconds: 1}),
+		}})},
+		{"sweep proc only", marshal(Summary{SchemaVersion: 2, Procs: []ProcSummary{{
+			Name: "sweep", Kind: "sweep", Sweep: &SweepSummary{Workers: 1, Experiments: 1},
+		}}})},
+		{"negative phase", marshal(Summary{SchemaVersion: 2, Procs: []ProcSummary{
+			engine(EngineSummary{InitSeconds: -1, SimulateSeconds: 1}),
+		}})},
+		{"truncated", []byte("{")},
+	} {
+		if err := ValidateSummary(tc.data); err == nil {
+			t.Errorf("%s: summary passed validation", tc.name)
+		}
 	}
 }

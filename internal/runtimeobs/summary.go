@@ -1,11 +1,9 @@
 package runtimeobs
 
-// The machine-readable runtime_summary.json schema plus the derived
-// diagnostics the trace alone doesn't surface: barrier-stall fraction,
-// load-imbalance ratio, merge share, and a critical-path attribution of
-// the sequential-vs-sharded gap. All numbers are host wall-clock and
-// therefore *not* deterministic — the summary describes the run's cost,
-// never its result.
+// The machine-readable runtime_summary.json schema: per engine run the
+// host time of each phase, per sweep pool its occupancy and queue latency.
+// All numbers are host wall-clock and therefore *not* deterministic — the
+// summary describes the run's cost, never its result.
 
 // Summary is the top-level runtime_summary.json document.
 type Summary struct {
@@ -23,48 +21,11 @@ type ProcSummary struct {
 	Sweep       *SweepSummary  `json:"sweep,omitempty"`
 }
 
-// EngineSummary aggregates one engine run's spans. The three headline
-// diagnostics are zero for the sequential engine, which has no barrier.
+// EngineSummary aggregates one engine run's phase spans.
 type EngineSummary struct {
-	Mode   string `json:"mode"` // "sequential" | "epoch-sharded"
-	Shards int    `json:"shards"`
-	Epochs int    `json:"epochs"` // epochs that did simulate work
-
-	InitSeconds        float64 `json:"init_seconds"`
-	SimulateSeconds    float64 `json:"simulate_seconds"` // summed over workers
-	BarrierWaitSeconds float64 `json:"barrier_wait_seconds"`
-	MergeSeconds       float64 `json:"merge_seconds"`
-	FaultSeconds       float64 `json:"fault_seconds"`
-	TickSeconds        float64 `json:"tick_seconds"`
-	FinalizeSeconds    float64 `json:"finalize_seconds"`
-
-	// BarrierStallFraction is barrier-wait time over worker busy+wait time:
-	// the fraction of the parallel phase spent parked at the barrier.
-	BarrierStallFraction float64 `json:"barrier_stall_fraction"`
-	// LoadImbalanceRatio is sum-over-epochs of the slowest worker's
-	// simulate time over sum-over-epochs of the mean: 1.0 is perfectly
-	// balanced; 2.0 means the critical path is twice the average.
-	LoadImbalanceRatio float64 `json:"load_imbalance_ratio"`
-	// MergeShare is single-threaded merge time over run wall time.
-	MergeShare float64 `json:"merge_share"`
-
-	CriticalPath *CriticalPath `json:"critical_path,omitempty"`
-}
-
-// CriticalPath decomposes a sharded run's wall time into where the
-// sequential-vs-sharded gap went. IdealParallelSeconds is total simulate
-// work divided evenly across shards; ImbalanceSeconds is the extra
-// critical-path time from uneven epochs (sum of max-mean); the serial
-// terms are work a sequential run does inline but a sharded run pays at
-// the barrier; OtherSeconds is the unattributed remainder (goroutine
-// launch, epoch bookkeeping, scheduler noise).
-type CriticalPath struct {
-	IdealParallelSeconds      float64 `json:"ideal_parallel_seconds"`
-	ImbalanceSeconds          float64 `json:"imbalance_seconds"`
-	SerialMergeSeconds        float64 `json:"serial_merge_seconds"` // merge + faults + ticks
-	OtherSeconds              float64 `json:"other_seconds"`
-	SequentialEstimateSeconds float64 `json:"sequential_estimate_seconds"` // simulate + serial terms
-	EstimatedSpeedup          float64 `json:"estimated_speedup"`           // sequential estimate / wall
+	InitSeconds     float64 `json:"init_seconds"`
+	SimulateSeconds float64 `json:"simulate_seconds"`
+	FinalizeSeconds float64 `json:"finalize_seconds"`
 }
 
 // SweepSummary aggregates one sweep pool's spans.
@@ -84,7 +45,7 @@ func seconds(d Stamp) float64 { return float64(d) / 1e9 }
 // Summarize reduces the collector's spans to the summary document.
 func Summarize(c *Collector) Summary {
 	var out Summary
-	out.SchemaVersion = 1
+	out.SchemaVersion = 2
 	for _, p := range sortedProcs(c) {
 		ps := summarizeProc(p)
 		if ps.WallSeconds > out.WallSeconds {
@@ -118,96 +79,27 @@ func summarizeProc(p *Proc) ProcSummary {
 
 	switch ps.Kind {
 	case "engine":
-		ps.Engine = summarizeEngine(p, wall)
+		ps.Engine = summarizeEngine(p)
 	case "sweep":
 		ps.Sweep = summarizeSweep(p, wall)
 	}
 	return ps
 }
 
-// epochAgg accumulates one epoch's per-worker simulate durations.
-type epochAgg struct {
-	max     Stamp
-	total   Stamp
-	workers int
-}
-
-func summarizeEngine(p *Proc, wall Stamp) *EngineSummary {
-	es := &EngineSummary{
-		Mode:   p.metaVal("mode"),
-		Shards: int(p.metaInt("shards")),
-	}
-	var epochs []epochAgg // dense, indexed by epoch
-	var simTotal, barrier, merge, faults, ticks Stamp
+func summarizeEngine(p *Proc) *EngineSummary {
+	es := &EngineSummary{}
 	for _, l := range p.lanes {
 		for _, s := range l.spans {
-			d := s.End - s.Start
+			d := seconds(s.End - s.Start)
 			switch s.Name {
 			case SpanInit:
-				es.InitSeconds += seconds(d)
-			case SpanFinalize:
-				es.FinalizeSeconds += seconds(d)
+				es.InitSeconds += d
 			case SpanSimulate:
-				simTotal += d
-				if s.Epoch >= 0 {
-					for int64(len(epochs)) <= s.Epoch {
-						epochs = append(epochs, epochAgg{})
-					}
-					e := &epochs[s.Epoch]
-					e.total += d
-					e.workers++
-					if d > e.max {
-						e.max = d
-					}
-				}
-			case SpanBarrierWait:
-				barrier += d
-			case SpanMerge:
-				merge += d
-			case SpanFaults:
-				faults += d
-			case SpanPolicyTick:
-				ticks += d
+				es.SimulateSeconds += d
+			case SpanFinalize:
+				es.FinalizeSeconds += d
 			}
 		}
-	}
-	es.SimulateSeconds = seconds(simTotal)
-	es.BarrierWaitSeconds = seconds(barrier)
-	es.MergeSeconds = seconds(merge)
-	es.FaultSeconds = seconds(faults)
-	es.TickSeconds = seconds(ticks)
-
-	// Per-epoch imbalance: critical path (max) vs balanced path (mean),
-	// each summed over the epochs that did work.
-	var sumMax, sumMean float64
-	for _, e := range epochs {
-		if e.workers == 0 {
-			continue
-		}
-		es.Epochs++
-		sumMax += seconds(e.max)
-		sumMean += seconds(e.total) / float64(e.workers)
-	}
-	if busy := seconds(simTotal + barrier); busy > 0 {
-		es.BarrierStallFraction = seconds(barrier) / busy
-	}
-	if sumMean > 0 {
-		es.LoadImbalanceRatio = sumMax / sumMean
-	}
-	if wall > 0 {
-		es.MergeShare = seconds(merge) / seconds(wall)
-	}
-
-	if es.Mode == "epoch-sharded" && es.Shards > 0 && wall > 0 {
-		cp := &CriticalPath{
-			IdealParallelSeconds: seconds(simTotal) / float64(es.Shards),
-			ImbalanceSeconds:     sumMax - sumMean,
-			SerialMergeSeconds:   seconds(merge + faults + ticks),
-		}
-		cp.OtherSeconds = seconds(wall) - cp.IdealParallelSeconds - cp.ImbalanceSeconds - cp.SerialMergeSeconds
-		cp.SequentialEstimateSeconds = seconds(simTotal) + cp.SerialMergeSeconds
-		cp.EstimatedSpeedup = cp.SequentialEstimateSeconds / seconds(wall)
-		es.CriticalPath = cp
 	}
 	return es
 }

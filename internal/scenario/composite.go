@@ -94,9 +94,8 @@ func (c *composite) NewRun(int64) workloads.Run {
 
 // compositeRun adapts the persistent tenant streams to one interval.
 // Next touches only per-thread state (the budget slots here, the tenant
-// stream's per-thread generator state), so the epoch-sharded engine may
-// call it concurrently for different threads, exactly like any other
-// workload run.
+// stream's per-thread generator state), so its output for a thread depends
+// only on that thread's earlier calls, exactly like any other workload run.
 type compositeRun struct {
 	c         *composite
 	remaining []uint64

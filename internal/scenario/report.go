@@ -38,7 +38,6 @@ type Report struct {
 	Policy         string
 	MasterSeed     int64
 	IntervalCycles uint64
-	Shards         int
 
 	Intervals   int    // intervals actually simulated
 	TotalCycles uint64 // global virtual time span of the schedule
@@ -91,8 +90,6 @@ func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // Render produces the full-precision text report the goldens pin.
 func (r *Report) Render() string {
 	var sb strings.Builder
-	// Shards is deliberately absent: the report must be byte-identical at
-	// every shard count, so the worker count cannot appear in the artifact.
 	fmt.Fprintf(&sb, "scenario policy=%s seed=%d interval_cycles=%d intervals=%d total_cycles=%d\n",
 		r.Policy, r.MasterSeed, r.IntervalCycles, r.Intervals, r.TotalCycles)
 	fmt.Fprintf(&sb, "exec_cycles=%d instructions=%d c2c_same=%d c2c_cross=%d\n",

@@ -128,7 +128,6 @@ func Run(spec Spec) (*Report, error) {
 			Policy:         s.Policy,
 			MasterSeed:     s.MasterSeed,
 			IntervalCycles: s.IntervalCycles,
-			Shards:         s.Shards,
 		},
 	}
 	r.budget = s.IntervalCycles / uint64(r.compute+workloads.NominalAccessCycles)
@@ -483,7 +482,6 @@ func (r *runner) runInterval(k int, now uint64, active []*tenantState) error {
 		Workload: comp,
 		Policy:   pol,
 		Seed:     seed,
-		Shards:   r.s.Shards,
 		Injector: inj,
 	})
 	if err != nil {

@@ -8,7 +8,7 @@
 // scenario is a pure function of its Spec. Every random stream is derived
 // positionally from the master seed (sweep.DeriveSeed), the schedule runs
 // in virtual time only, and the per-tenant metrics are byte-identical at
-// every RunJobs parallelism and every engine shard count.
+// every RunJobs parallelism.
 package scenario
 
 import (
@@ -83,10 +83,6 @@ type Spec struct {
 	// IntervalDecay ages the persistent matrix once per interval before the
 	// interval's detected communication is merged in; 0 selects 0.7.
 	IntervalDecay float64
-	// Shards selects the engine for each interval: 0 sequential, >= 1 the
-	// epoch-sharded engine with that many workers (byte-identical at any
-	// worker count, see engine.Config.Shards).
-	Shards int
 	// Probe, when non-nil, records the scenario's adaptation events
 	// (admission decisions, remaps, governor deferrals) at global virtual
 	// time. One probe observes one scenario.

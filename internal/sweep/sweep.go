@@ -255,14 +255,6 @@ type Runner struct {
 	// (or an inactive plan) leaves every run on the exact fault-free paths.
 	FaultPlan *faultinject.Plan
 
-	// Shards selects each run's engine: 0 (the default) is the sequential
-	// engine; >= 1 runs every experiment on the epoch-sharded engine with
-	// that many intra-run workers (engine.Config.Shards). Sharded results
-	// are byte-identical for every value >= 1. Shards composes with
-	// Parallelism: total goroutines ≈ Parallelism × Shards, so callers
-	// should keep the product near GOMAXPROCS.
-	Shards int
-
 	// Runtime, when non-nil, records host wall-clock spans for the pool
 	// (per-worker experiment occupancy, queue latency) and gives every run
 	// its own engine proc (see internal/runtimeobs). Like Now, it is purely
@@ -346,7 +338,7 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 			for i := range jobs {
 				expStart := r.Runtime.Now()
 				results[i] = r.runOne(configs[i])
-				lane.SpanAt(runtimeobs.SpanExperiment, expStart, r.Runtime.Now(), -1, int64(i))
+				lane.SpanAt(runtimeobs.SpanExperiment, expStart, r.Runtime.Now(), int64(i))
 				done <- i
 			}
 		}(rtLanes[w])
@@ -369,7 +361,7 @@ func (r *Runner) Run(configs []Config) ([]Result, error) {
 	}
 	r.Probe.Emit(uint64(len(configs))+1, "sweep", "sweep.done", -1,
 		obs.Uint("ok", uint64(ok)), obs.Uint("failed", uint64(failed)))
-	rtPool.SpanAt(runtimeobs.SpanRun, rtStart, r.Runtime.Now(), -1, int64(len(configs)))
+	rtPool.SpanAt(runtimeobs.SpanRun, rtStart, r.Runtime.Now(), int64(len(configs)))
 	return results, nil
 }
 
@@ -413,9 +405,9 @@ func (r *Runner) runOne(c Config) (res Result) {
 	if r.FaultPlan != nil {
 		inj = faultinject.NewInjector(*r.FaultPlan, seed)
 	}
-	// Each observed run gets its own host-time proc so its engine lanes
-	// (shard workers, barrier) group separately in the merged trace. Guarded
-	// rather than relying on nil-safety alone: Key() allocates.
+	// Each observed run gets its own host-time proc so its engine phases
+	// group separately in the merged trace. Guarded rather than relying on
+	// nil-safety alone: Key() allocates.
 	var rtp *runtimeobs.Proc
 	if r.Runtime != nil {
 		rtp = r.Runtime.Proc("run " + c.Key())
@@ -431,7 +423,6 @@ func (r *Runner) runOne(c Config) (res Result) {
 		Seed:     seed,
 		Probe:    res.Probe,
 		Injector: inj,
-		Shards:   r.Shards,
 		Runtime:  rtp,
 	})
 	if r.Now != nil {

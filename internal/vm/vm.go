@@ -606,10 +606,10 @@ func (as *AddressSpace) chargeShootdown(kind shootdownKind, frame int64, tlbCore
 // DrainRemoteStalls copies the per-core remote TLB-invalidate cycles
 // accumulated since the last drain into out (grown as needed) and zeroes
 // the pending buffer. The bool reports whether anything was pending; when
-// false, out is returned untouched. The engines call this after each policy
-// tick — the only window where shootdowns happen — and add each core's
+// false, out is returned untouched. The engine calls this after each policy
+// tick — the only window where shootdowns happen — and adds each core's
 // cycles to the clocks of the threads running there, in thread order, so
-// the charge lands identically at any worker or shard count.
+// the charge is a pure function of the simulated schedule.
 func (as *AddressSpace) DrainRemoteStalls(out []uint64) ([]uint64, bool) {
 	if !as.pendingAny {
 		return out, false

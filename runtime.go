@@ -9,8 +9,8 @@ import (
 )
 
 // RuntimeCollector records host-side wall-clock spans — where the *host*
-// spends time running a simulation (shard-worker simulate phases, barrier
-// waits, merge passes, sweep-pool occupancy) — as opposed to a Probe's
+// spends time running a simulation (engine init / simulate / finalize
+// phases, sweep-pool occupancy) — as opposed to a Probe's
 // virtual-time view of the simulated machine (see internal/runtimeobs).
 //
 // Attaching a collector never changes simulation results: the
@@ -26,17 +26,15 @@ type RuntimeCollector = runtimeobs.Collector
 func NewRuntimeCollector() *RuntimeCollector { return runtimeobs.New() }
 
 // RunWithRuntime is Run with host-side runtime observability: the
-// collector records run-level wall-clock phases for the sequential engine,
-// or per-worker per-epoch simulate / barrier-wait / merge spans for the
-// epoch-sharded engine (shards >= 1). The returned Metrics are identical
-// to an unobserved run's.
-func RunWithRuntime(m *Machine, w Workload, policyName string, seed int64, shards int, rt *RuntimeCollector) (Metrics, error) {
+// collector records the run's wall-clock phases (init / simulate /
+// finalize). The returned Metrics are identical to an unobserved run's.
+func RunWithRuntime(m *Machine, w Workload, policyName string, seed int64, rt *RuntimeCollector) (Metrics, error) {
 	p, err := policy.Tuned(policyName, w, m)
 	if err != nil {
 		return Metrics{}, err
 	}
 	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed,
-		Shards: shards, Runtime: rt.Proc("run " + w.Name())})
+		Runtime: rt.Proc("run " + w.Name())})
 }
 
 // WriteRuntimeTrace exports the collector's spans as a Chrome trace with
@@ -47,9 +45,9 @@ func WriteRuntimeTrace(w io.Writer, rt *RuntimeCollector) error {
 	return runtimeobs.WriteChromeTrace(w, rt)
 }
 
-// WriteRuntimeSummary exports the collector's derived diagnostics
-// (barrier-stall fraction, load-imbalance ratio, merge share,
-// critical-path attribution) as an indented JSON document.
+// WriteRuntimeSummary exports the collector's summary (per engine run the
+// init / simulate / finalize host time, per sweep pool its occupancy and
+// queue latency) as an indented JSON document.
 func WriteRuntimeSummary(w io.Writer, rt *RuntimeCollector) error {
 	return runtimeobs.WriteSummary(w, rt)
 }

@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"testing"
 
 	"spcd"
 )
 
-// renderRuntimeLeg runs the CG experiment (os + spcd, two reps) on the
-// given engine configuration and renders every run's metrics byte for byte.
+// renderRuntimeLeg runs the CG experiment (os + spcd, two reps), optionally
+// under a fault plan, and renders every run's metrics byte for byte.
 // rt, when non-nil, attaches the host-time collector — whose presence is
 // exactly what this file proves changes nothing.
-func renderRuntimeLeg(t *testing.T, shards int, faults *spcd.FaultPlan, rt *spcd.RuntimeCollector) string {
+func renderRuntimeLeg(t *testing.T, faults *spcd.FaultPlan, rt *spcd.RuntimeCollector) string {
 	t.Helper()
 	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
 	if err != nil {
@@ -26,7 +25,6 @@ func renderRuntimeLeg(t *testing.T, shards int, faults *spcd.FaultPlan, rt *spcd
 		Policies: []string{"os", "spcd"},
 		Reps:     2,
 		BaseSeed: 7,
-		Shards:   shards,
 		Faults:   faults,
 		Runtime:  rt,
 	}
@@ -50,27 +48,24 @@ func renderRuntimeLeg(t *testing.T, shards int, faults *spcd.FaultPlan, rt *spcd
 }
 
 // TestRuntimeObsByteIdentity is the one-way contract's acceptance gate:
-// attaching a RuntimeCollector must leave simulation results byte-identical
-// on the sequential engine, the epoch-sharded engine, and the sharded
-// chaos (fault-injected) path. The spcdlint runtimeobs-isolation rule
-// proves no host-time value can flow back statically; this proves it
-// dynamically, metrics byte for byte.
+// attaching a RuntimeCollector must leave simulation results byte-identical,
+// on the fault-free path and under the canonical fault plan. The spcdlint
+// runtimeobs-isolation rule proves no host-time value can flow back
+// statically; this proves it dynamically, metrics byte for byte.
 func TestRuntimeObsByteIdentity(t *testing.T) {
 	chaos := spcd.CanonicalFaultPlan(9)
 	legs := []struct {
 		name   string
-		shards int
 		faults *spcd.FaultPlan
 	}{
-		{"sequential", 0, nil},
-		{"sharded4", 4, nil},
-		{"sharded4-chaos", 4, &chaos},
+		{"sequential", nil},
+		{"sequential-chaos", &chaos},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
-			base := renderRuntimeLeg(t, leg.shards, leg.faults, nil)
+			base := renderRuntimeLeg(t, leg.faults, nil)
 			rt := spcd.NewRuntimeCollector()
-			got := renderRuntimeLeg(t, leg.shards, leg.faults, rt)
+			got := renderRuntimeLeg(t, leg.faults, rt)
 			if got != base {
 				t.Errorf("metrics with RuntimeCollector attached differ from unobserved run")
 			}
@@ -97,19 +92,13 @@ type runtimeSummaryDoc struct {
 	SchemaVersion int     `json:"schema_version"`
 	WallSeconds   float64 `json:"wall_seconds"`
 	Procs         []struct {
-		Name   string `json:"name"`
-		Kind   string `json:"kind"`
-		Engine *struct {
-			Mode                 string  `json:"mode"`
-			Shards               int     `json:"shards"`
-			Epochs               int     `json:"epochs"`
-			SimulateSeconds      float64 `json:"simulate_seconds"`
-			BarrierStallFraction float64 `json:"barrier_stall_fraction"`
-			LoadImbalanceRatio   float64 `json:"load_imbalance_ratio"`
-			MergeShare           float64 `json:"merge_share"`
-			CriticalPath         *struct {
-				EstimatedSpeedup float64 `json:"estimated_speedup"`
-			} `json:"critical_path"`
+		Name        string  `json:"name"`
+		Kind        string  `json:"kind"`
+		WallSeconds float64 `json:"wall_seconds"`
+		Engine      *struct {
+			InitSeconds     float64 `json:"init_seconds"`
+			SimulateSeconds float64 `json:"simulate_seconds"`
+			FinalizeSeconds float64 `json:"finalize_seconds"`
 		} `json:"engine"`
 		Sweep *struct {
 			Workers     int     `json:"workers"`
@@ -119,18 +108,17 @@ type runtimeSummaryDoc struct {
 	} `json:"procs"`
 }
 
-// TestRuntimeSummaryDiagnostics runs one sharded simulation under the
-// collector and checks the derived diagnostics are present and sane: a
-// barrier-stall fraction in [0,1], a load-imbalance ratio >= 1, a merge
-// share in [0,1], and a critical-path attribution with a finite speedup
-// estimate.
+// TestRuntimeSummaryDiagnostics runs one simulation under the collector
+// and checks the engine's phase split is present and sane: simulate work
+// recorded, every phase non-negative, and the phases fitting inside the
+// run's wall time.
 func TestRuntimeSummaryDiagnostics(t *testing.T) {
 	w, err := spcd.NPB("CG", 8, spcd.ClassTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := spcd.NewRuntimeCollector()
-	if _, err := spcd.RunWithRuntime(spcd.DefaultMachine(), w, "spcd", 1, 2, rt); err != nil {
+	if _, err := spcd.RunWithRuntime(spcd.DefaultMachine(), w, "spcd", 1, rt); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -141,116 +129,18 @@ func TestRuntimeSummaryDiagnostics(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &sum); err != nil {
 		t.Fatalf("summary does not parse: %v\n%s", err, buf.String())
 	}
-	found := false
-	for _, p := range sum.Procs {
-		if p.Engine == nil {
-			continue
-		}
-		e := p.Engine
-		if e.Mode != "epoch-sharded" {
-			continue
-		}
-		found = true
-		if e.Shards != 2 {
-			t.Errorf("shards = %d, want 2", e.Shards)
-		}
-		if e.Epochs <= 0 || e.SimulateSeconds <= 0 {
-			t.Errorf("no recorded work: epochs=%d simulate=%g", e.Epochs, e.SimulateSeconds)
-		}
-		if e.BarrierStallFraction < 0 || e.BarrierStallFraction > 1 {
-			t.Errorf("barrier_stall_fraction = %g, want [0,1]", e.BarrierStallFraction)
-		}
-		if e.LoadImbalanceRatio < 1 || math.IsInf(e.LoadImbalanceRatio, 0) || math.IsNaN(e.LoadImbalanceRatio) {
-			t.Errorf("load_imbalance_ratio = %g, want finite >= 1", e.LoadImbalanceRatio)
-		}
-		if e.MergeShare < 0 || e.MergeShare > 1 {
-			t.Errorf("merge_share = %g, want [0,1]", e.MergeShare)
-		}
-		if e.CriticalPath == nil {
-			t.Error("critical_path missing")
-		} else if e.CriticalPath.EstimatedSpeedup <= 0 || math.IsInf(e.CriticalPath.EstimatedSpeedup, 0) {
-			t.Errorf("estimated_speedup = %g, want finite > 0", e.CriticalPath.EstimatedSpeedup)
-		}
+	if len(sum.Procs) != 1 || sum.Procs[0].Kind != "engine" || sum.Procs[0].Engine == nil {
+		t.Fatalf("want exactly one engine process in summary:\n%s", buf.String())
 	}
-	if !found {
-		t.Fatalf("no epoch-sharded engine process in summary:\n%s", buf.String())
+	p := sum.Procs[0]
+	e := p.Engine
+	if e.SimulateSeconds <= 0 {
+		t.Errorf("no recorded work: simulate_seconds = %g", e.SimulateSeconds)
 	}
-}
-
-// chromeTraceDoc is the slice of the Chrome trace schema the shard-
-// attribution test reads.
-type chromeTraceDoc struct {
-	TraceEvents []struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat"`
-		Args map[string]any `json:"args"`
-	} `json:"traceEvents"`
-}
-
-// TestShardedTraceShardAttribution checks the virtual-time trace records
-// which shard worker produced each buffered engine event: every
-// thread.done and stall.injected event must carry a "shard" arg within
-// range, the attribution must span multiple workers (it is per-core, not a
-// constant), and the whole trace must be byte-identical across repeated
-// sharded runs.
-func TestShardedTraceShardAttribution(t *testing.T) {
-	const shards = 2
-	plan := spcd.CanonicalFaultPlan(9)
-	render := func() []byte {
-		t.Helper()
-		w, err := spcd.NPB("CG", 8, spcd.ClassTest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr := spcd.NewProbe(spcd.ObsOptions{})
-		e := spcd.Experiment{
-			Machine:  spcd.DefaultMachine(),
-			Workload: w,
-			Policies: []string{"spcd"},
-			Reps:     1,
-			BaseSeed: 7,
-			Shards:   shards,
-			Observe:  func(string, int) *spcd.Probe { return pr },
-		}.WithFaults(plan)
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := spcd.WriteChromeTrace(&buf, pr); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	if e.InitSeconds < 0 || e.FinalizeSeconds < 0 {
+		t.Errorf("negative phase: init %g, finalize %g", e.InitSeconds, e.FinalizeSeconds)
 	}
-
-	trace := render()
-	var doc chromeTraceDoc
-	if err := json.Unmarshal(trace, &doc); err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[float64]int)
-	var attributed int
-	for _, ev := range doc.TraceEvents {
-		if ev.Name != "thread.done" && ev.Name != "stall.injected" {
-			continue
-		}
-		attributed++
-		v, ok := ev.Args["shard"]
-		if !ok {
-			t.Fatalf("%s event has no shard arg: %+v", ev.Name, ev.Args)
-		}
-		shard, ok := v.(float64)
-		if !ok || shard < 0 || shard >= shards {
-			t.Fatalf("%s event shard = %v, want integer in [0,%d)", ev.Name, v, shards)
-		}
-		seen[shard]++
-	}
-	if attributed == 0 {
-		t.Fatal("trace has no thread.done/stall.injected events to attribute")
-	}
-	if len(seen) < 2 {
-		t.Errorf("all %d events attributed to one shard %v; expected work on both workers", attributed, seen)
-	}
-	if again := render(); !bytes.Equal(trace, again) {
-		t.Error("sharded trace bytes differ between identical runs")
+	if phases := e.InitSeconds + e.SimulateSeconds + e.FinalizeSeconds; phases > p.WallSeconds*(1+1e-9) {
+		t.Errorf("phases sum to %g s, more than the run's %g s wall time", phases, p.WallSeconds)
 	}
 }

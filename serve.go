@@ -34,8 +34,8 @@ type TenantMetrics = scenario.TenantMetrics
 var ScenarioPolicyNames = []string{"static", "os", "spcd", "tlb", "hwc"}
 
 // Serve runs one scenario to completion and returns its report. The report
-// is a pure function of the spec: byte-identical for the same spec at every
-// engine shard count and regardless of host scheduling.
+// is a pure function of the spec: byte-identical for the same spec
+// regardless of host scheduling.
 func Serve(spec Scenario) (*ScenarioReport, error) {
 	return scenario.Run(spec)
 }
@@ -94,8 +94,7 @@ func (r *ScenarioResults) MeanCrossSocketC2C(policyName string) (float64, error)
 // every policy — the key excludes the policy name, so policies under
 // comparison serve identical tenant streams. The experiment's Workload field
 // is ignored (the spec carries the workload mix); Machine, when set, fills a
-// spec without one. Reports are byte-identical at every Parallelism and
-// Shards setting.
+// spec without one. Reports are byte-identical at every Parallelism.
 func (e Experiment) Scenario(spec Scenario) (*ScenarioResults, error) {
 	if len(spec.Tenants) == 0 {
 		return nil, errors.New("spcd: scenario experiment needs tenants")
@@ -117,9 +116,6 @@ func (e Experiment) Scenario(spec Scenario) (*ScenarioResults, error) {
 			s := spec
 			s.Policy = name
 			s.MasterSeed = sweep.DeriveSeed(e.BaseSeed, fmt.Sprintf("scenario/r%d", r))
-			if s.Shards == 0 {
-				s.Shards = e.Shards
-			}
 			if e.Faults != nil && s.Faults == nil {
 				plan := *e.Faults
 				s.Faults = &plan

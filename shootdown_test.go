@@ -65,38 +65,3 @@ func TestGoldenShootdownMetrics(t *testing.T) {
 		}
 	}
 }
-
-// TestShootdownShardedByteIdentity: with the cost model armed, the epoch-
-// sharded engine must still be worker-count-invariant — shootdown charging
-// happens canonically inside the single-threaded policy tick, so shard
-// count cannot leak into the charged cycles.
-func TestShootdownShardedByteIdentity(t *testing.T) {
-	for _, mode := range []string{"ipi", "hatric"} {
-		t.Run(mode, func(t *testing.T) {
-			render := func(shards int) string {
-				t.Helper()
-				mach := spcd.DefaultMachine()
-				if err := spcd.ConfigureShootdown(mach, mode); err != nil {
-					t.Fatal(err)
-				}
-				var out string
-				for _, policy := range []string{"os", "spcd"} {
-					w, err := spcd.NPB(goldenKernel, goldenThreads, spcd.ClassTest)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m, err := spcd.RunSharded(mach, w, policy, goldenSeed, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out += renderShootdownMetrics(t, m)
-				}
-				return out
-			}
-			base := render(1)
-			if got := render(4); got != base {
-				t.Errorf("%s metrics at shards=4 differ from shards=1", mode)
-			}
-		})
-	}
-}

@@ -164,22 +164,6 @@ func RunWithPolicy(m *Machine, w Workload, p Policy, seed int64) (Metrics, error
 	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed})
 }
 
-// RunSharded executes workload w on the epoch-sharded engine with the given
-// intra-run worker count (shards >= 1; values above the machine's core count
-// are clamped). Sharded results are byte-identical for every worker count —
-// shards only changes wall-clock time — but they intentionally differ from
-// the sequential Run: cross-core cache coherence and page-fault effects land
-// at epoch boundaries instead of instantly (see DESIGN.md §13). shards <= 0
-// falls back to the sequential engine, making RunSharded(m, w, p, seed, 0)
-// identical to Run.
-func RunSharded(m *Machine, w Workload, policyName string, seed int64, shards int) (Metrics, error) {
-	p, err := policy.Tuned(policyName, w, m)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return engine.Run(engine.Config{Machine: m, Workload: w, Policy: p, Seed: seed, Shards: shards})
-}
-
 // CommMatrix is a symmetric thread-communication matrix.
 type CommMatrix = commmatrix.Matrix
 

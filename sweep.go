@@ -40,14 +40,6 @@ type Sweep struct {
 	// Parallelism bounds concurrent experiments: 0 selects GOMAXPROCS, 1
 	// runs sequentially. Results do not depend on it.
 	Parallelism int
-	// Shards selects each experiment's engine: 0 (the default) runs the
-	// sequential engine; >= 1 runs the epoch-sharded engine with that many
-	// intra-run workers. Sharded results are byte-identical for every value
-	// >= 1 (but intentionally differ from the sequential engine; see
-	// DESIGN.md §13). The total worker count is roughly
-	// Parallelism × Shards, so keep the product near GOMAXPROCS.
-	Shards int
-
 	// Seeder, when set, overrides the derived per-run seed. It must be a
 	// pure function of its arguments; the derivation exists so results
 	// stay independent of scheduling.
@@ -145,7 +137,6 @@ func (s Sweep) Run() (*SweepResults, error) {
 		Parallelism: s.Parallelism,
 		Probe:       s.Probe,
 		FaultPlan:   s.Faults,
-		Shards:      s.Shards,
 		Runtime:     s.Runtime,
 	}
 	if s.Seeder != nil {

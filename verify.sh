@@ -4,6 +4,11 @@
 # build/tests plus the race detector and the spcdlint static analyzers
 # (internal/analysis). Pre-merge checks should run exactly this.
 #
+# spcdbench is a separate module (it imports this one through a replace
+# directive), so `./...` and spcdlint never see it; it gets its own vet and
+# test step so a change to an exported name it uses cannot break the
+# benchmark unnoticed.
+#
 # BENCH=1 ./verify.sh additionally runs `make bench`: full-length
 # microbenchmarks of the engine hot path and the canonical refresh of
 # BENCH_engine.json (cmd/perfbench at -parallel 1, so timings are
@@ -21,6 +26,7 @@ go build ./...
 go vet ./...
 go test -race ./...
 go run ./cmd/spcdlint ./...
+(cd spcdbench && go vet . && go test .)
 
 if [ "${BENCH:-0}" = "1" ]; then
 	make bench
