@@ -2,6 +2,7 @@ package spcd_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -115,5 +116,53 @@ func TestGoldenMetrics(t *testing.T) {
 					len(pr.Samples()), len(pr.Events()))
 			}
 		})
+	}
+}
+
+// digestThreads and digestPolicies fix the grid of TestGoldenDigests: every
+// NPB kernel at the paper's 32 threads under each placement the figures
+// compare, at ClassTiny so the whole grid runs in seconds.
+const digestThreads = 32
+
+var digestPolicies = []string{"os", "oracle", "spcd"}
+
+// TestGoldenDigests pins the full-precision renderMetrics of every NPB
+// kernel x {os, oracle, spcd} as one SHA-256 each. TestGoldenMetrics keeps
+// the readable dump of one configuration; this test widens the byte-identity
+// gate to every kernel without committing thirty dumps. Regenerate with
+// `go test -run TestGoldenDigests -update` under the same rule as the
+// goldens above.
+func TestGoldenDigests(t *testing.T) {
+	mach := spcd.DefaultMachine()
+	var buf bytes.Buffer
+	for _, kernel := range spcd.NPBNames {
+		for _, policy := range digestPolicies {
+			w, err := spcd.NPB(kernel, digestThreads, spcd.ClassTiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := spcd.Run(mach, w, policy, goldenSeed)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kernel, policy, err)
+			}
+			fmt.Fprintf(&buf, "%s %s %x\n", kernel, policy,
+				sha256.Sum256([]byte(renderMetrics(t, m))))
+		}
+	}
+	got := buf.String()
+	path := filepath.Join("testdata", "golden_digests.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update on a trusted tree): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("metrics digests diverged from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
