@@ -215,6 +215,11 @@ func DefaultXeon() *Machine {
 	}
 }
 
+// MaxCores is the widest machine the simulator models: the cache
+// directory records each line's sharers, invalidations and evictions as
+// 32-bit core bitsets, so a core past bit 31 would never be tracked.
+const MaxCores = 32
+
 // Validate reports whether the machine description is internally consistent.
 func (m *Machine) Validate() error {
 	switch {
@@ -224,6 +229,9 @@ func (m *Machine) Validate() error {
 		return errors.New("topology: need at least one core per socket")
 	case m.ThreadsPerCore < 1:
 		return errors.New("topology: need at least one thread per core")
+	case m.NumCores() > MaxCores:
+		return fmt.Errorf("topology: %d cores exceed the cache directory's %d-core sharer bitsets",
+			m.NumCores(), MaxCores)
 	case m.LineSize <= 0 || m.LineSize&(m.LineSize-1) != 0:
 		return fmt.Errorf("topology: line size %d is not a positive power of two", m.LineSize)
 	case m.PageSize <= 0 || m.PageSize&(m.PageSize-1) != 0:

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -178,6 +179,21 @@ func TestNewValidation(t *testing.T) {
 	}
 	if m, err := New(1, 4, 1); err != nil || m.NumContexts() != 4 {
 		t.Errorf("New(1,4,1) = %v, %v", m, err)
+	}
+}
+
+// TestNewRejectsMachinesWiderThanDirectory: the directory's sharer bitsets
+// hold MaxCores cores, so a 36-core shape must fail and a 32-core one pass.
+func TestNewRejectsMachinesWiderThanDirectory(t *testing.T) {
+	_, err := New(4, 9, 1)
+	if err == nil {
+		t.Fatal("New(4,9,1): 36 cores accepted")
+	}
+	if !strings.Contains(err.Error(), "32-core") {
+		t.Errorf("New(4,9,1) error %q does not name the directory width", err)
+	}
+	if m, err := New(2, 16, 2); err != nil || m.NumCores() != MaxCores {
+		t.Errorf("New(2,16,2) = %v, %v; want a valid %d-core machine", m, err, MaxCores)
 	}
 }
 
