@@ -97,21 +97,35 @@ func (s Stats) C2CTotal() uint64 { return s.C2CSameSocket + s.C2CCrossSocket }
 // DRAMTotal returns all DRAM accesses.
 func (s Stats) DRAMTotal() uint64 { return s.DRAMLocal + s.DRAMRemote }
 
-// array is one physical set-associative cache with LRU replacement. The
-// valid and dirty bits are packed bitsets (one bit per slot) so a set's
-// metadata shares a cache line with its neighbors instead of spanning a
-// []bool, and the set-base computation is a mask when the set count is a
-// power of two (it is, for every realistic geometry).
+// array is one physical set-associative cache with exact LRU replacement.
+// Each set is a run of ways slot words kept in recency order: the valid
+// ways form a prefix, most recently used first, and the rest are zero. A
+// hit moves its way to the front, an insert shifts the set right by one and
+// evicts whatever falls off the last slot, and an invalidate closes the gap
+// it leaves. The order therefore is the LRU order itself, so no stamps,
+// clock or valid bits are stored. The set-base computation is a mask when
+// the set count is a power of two (it is, for every realistic geometry).
 type array struct {
 	sets, ways int
 	setMask    uint64 // sets-1 when sets is a power of two
 	pow2       bool
-	tags       []uint64
-	valid      []uint64 // packed: bit i = slot i
-	dirty      []uint64 // packed: bit i = slot i
-	stamp      []uint64
-	clock      uint64
+	tags       []uint64 // slot words, see slotWord
 }
+
+// slotWord encodes a resident line as (line+1)<<1 | dirty, so the zero
+// word is an empty slot (the same biased-zero idiom as dirEntry.ownerPlus1).
+// Line indices are byte addresses shifted right by the line size, far below
+// the 2^63 this encoding can hold.
+func slotWord(line uint64, dirty bool) uint64 {
+	w := (line + 1) << 1
+	if dirty {
+		w |= 1
+	}
+	return w
+}
+
+// slotLine decodes the line of a non-empty slot word.
+func slotLine(w uint64) uint64 { return w>>1 - 1 }
 
 func newArray(geom topology.CacheGeometry, lineSize int) *array {
 	lines := geom.Size / lineSize
@@ -120,108 +134,96 @@ func newArray(geom topology.CacheGeometry, lineSize int) *array {
 	if sets < 1 {
 		sets = 1
 	}
-	n := sets * ways
 	return &array{
 		sets:    sets,
 		ways:    ways,
 		setMask: uint64(sets - 1),
 		pow2:    sets&(sets-1) == 0,
-		tags:    make([]uint64, n),
-		valid:   make([]uint64, (n+63)/64),
-		dirty:   make([]uint64, (n+63)/64),
-		stamp:   make([]uint64, n),
+		tags:    make([]uint64, sets*ways),
 	}
 }
 
-// setBase returns the first slot of the set holding line.
-func (a *array) setBase(line uint64) int {
+// set returns the slots of the set holding line, most recently used first.
+func (a *array) set(line uint64) []uint64 {
+	var base int
 	if a.pow2 {
-		return int(line&a.setMask) * a.ways
+		base = int(line&a.setMask) * a.ways
+	} else {
+		base = int(line%uint64(a.sets)) * a.ways
 	}
-	return int(line%uint64(a.sets)) * a.ways
+	return a.tags[base : base+a.ways : base+a.ways]
 }
 
-func (a *array) isValid(i int) bool { return a.valid[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (a *array) setValid(i int)     { a.valid[i>>6] |= 1 << (uint(i) & 63) }
-func (a *array) clearValid(i int)   { a.valid[i>>6] &^= 1 << (uint(i) & 63) }
-func (a *array) isDirty(i int) bool { return a.dirty[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (a *array) setDirty(i int)     { a.dirty[i>>6] |= 1 << (uint(i) & 63) }
-func (a *array) clearDirty(i int)   { a.dirty[i>>6] &^= 1 << (uint(i) & 63) }
-
-// find returns the slot holding line, or -1. The tag is compared before the
-// valid bit: tags of invalid slots are stale but a match is rare, so the
-// common-case iteration touches only the tag array.
-func (a *array) find(line uint64) int {
-	base := a.setBase(line)
-	for i := base; i < base+a.ways; i++ {
-		if a.tags[i] == line && a.isValid(i) {
+// find returns the way of set holding line, or -1. The valid ways are a
+// prefix, so the scan stops at the first empty slot.
+func find(set []uint64, line uint64) int {
+	key := slotWord(line, false)
+	for i, w := range set {
+		if w&^1 == key {
 			return i
+		}
+		if w == 0 {
+			break
 		}
 	}
 	return -1
 }
 
-// lookup probes for line and refreshes its LRU stamp on a hit.
-func (a *array) lookup(line uint64) bool {
-	if i := a.find(line); i >= 0 {
-		a.clock++
-		a.stamp[i] = a.clock
-		return true
+// touch makes way i the most recently used of set. Hits cluster near the
+// front, so an element loop beats a memmove call.
+func touch(set []uint64, i int) {
+	w := set[i]
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
 	}
-	return false
+	set[0] = w
+}
+
+// lookup probes for line and, on a hit, marks it most recently used and
+// sets its dirty bit if write.
+func (a *array) lookup(line uint64, write bool) bool {
+	set := a.set(line)
+	i := find(set, line)
+	if i < 0 {
+		return false
+	}
+	if write {
+		set[i] |= 1
+	}
+	touch(set, i)
+	return true
 }
 
 // probe checks residency without disturbing LRU state.
-func (a *array) probe(line uint64) bool { return a.find(line) >= 0 }
+func (a *array) probe(line uint64) bool { return find(a.set(line), line) >= 0 }
 
-// markDirty sets the dirty bit of a resident line.
-func (a *array) markDirty(line uint64) {
-	if i := a.find(line); i >= 0 {
-		a.setDirty(i)
-	}
-}
-
-// insert places line, evicting the LRU way if the set is full. It returns
-// the evicted line and whether one was evicted (and dirty). Victim choice
-// (first invalid slot, else lowest stamp in slot order) is part of the
-// deterministic simulation contract — do not reorder.
+// insert places line, which must not be resident, as the most recently used
+// way, evicting the least recently used way if the set is full. It returns
+// the evicted line and whether one was evicted (and dirty). The victim is
+// part of the deterministic simulation contract: it must stay the exact LRU
+// line.
 func (a *array) insert(line uint64, dirty bool) (evicted uint64, evictedDirty, hadEviction bool) {
-	base := a.setBase(line)
-	victim := base
-	for w := 0; w < a.ways; w++ {
-		i := base + w
-		if !a.isValid(i) {
-			victim = i
-			break
-		}
-		if a.stamp[i] < a.stamp[victim] {
-			victim = i
-		}
+	set := a.set(line)
+	last := set[len(set)-1]
+	touch(set, len(set)-1) // the last way's slot becomes the new line's
+	set[0] = slotWord(line, dirty)
+	if last == 0 {
+		return 0, false, false
 	}
-	if a.isValid(victim) {
-		evicted = a.tags[victim]
-		evictedDirty = a.isDirty(victim)
-		hadEviction = true
-	}
-	a.clock++
-	a.tags[victim] = line
-	a.setValid(victim)
-	if dirty {
-		a.setDirty(victim)
-	} else {
-		a.clearDirty(victim)
-	}
-	a.stamp[victim] = a.clock
-	return evicted, evictedDirty, hadEviction
+	return slotLine(last), last&1 != 0, true
 }
 
 // invalidate removes line if resident, reporting whether it was dirty.
 func (a *array) invalidate(line uint64) (wasDirty, was bool) {
-	if i := a.find(line); i >= 0 {
-		a.clearValid(i)
-		return a.isDirty(i), true
+	set := a.set(line)
+	i := find(set, line)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	wasDirty = set[i]&1 != 0
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
+	return wasDirty, true
 }
 
 // dirEntry is the directory state of one cache line. The owner core is
@@ -435,16 +437,18 @@ func (h *Hierarchy) evictPrivate(core int, line uint64, dirty bool) {
 	}
 }
 
-// fillL3 inserts a line into socket s's L3, handling inclusive back-
-// invalidation of the socket's private caches when the L3 evicts.
+// fillL3 brings a line into socket s's L3: a resident line is refreshed
+// (and marked dirty on a write-back), an absent one is inserted.
 func (h *Hierarchy) fillL3(socket int, line uint64, dirty bool) {
-	if h.l3[socket].probe(line) {
-		if dirty {
-			h.l3[socket].markDirty(line)
-		}
-		h.l3[socket].lookup(line) // refresh LRU
-		return
+	if !h.l3[socket].lookup(line, dirty) {
+		h.insertL3(socket, line, dirty)
 	}
+}
+
+// insertL3 inserts a line that is not resident in socket s's L3, handling
+// inclusive back-invalidation of the socket's private caches when the L3
+// evicts.
+func (h *Hierarchy) insertL3(socket int, line uint64, dirty bool) {
 	evicted, _, had := h.l3[socket].insert(line, dirty)
 	if !had {
 		return
@@ -524,8 +528,8 @@ func (h *Hierarchy) Access(ctx int, addr uint64, write bool, node int) AccessRes
 // caller must fall back to Access.
 func (h *Hierarchy) AccessFast(ctx int, addr uint64, write bool) (cycles int, ok bool) {
 	line := addr >> h.lineShift
-	a := h.l1[h.mach.CoreOf(ctx)]
-	i := a.find(line)
+	set := h.l1[h.mach.CoreOf(ctx)].set(line)
+	i := find(set, line)
 	if i < 0 {
 		return 0, false
 	}
@@ -536,12 +540,11 @@ func (h *Hierarchy) AccessFast(ctx int, addr uint64, write bool) (cycles int, ok
 			// Other cores hold copies: the full path must invalidate them.
 			return 0, false
 		}
-		a.setDirty(i)
+		set[i] |= 1
 		e.setOwner(core)
 		h.stats.Writes++
 	}
-	a.clock++
-	a.stamp[i] = a.clock
+	touch(set, i)
 	h.stats.Accesses++
 	h.stats.L1Hits++
 	h.stats.StallCycles += uint64(h.mach.Lat.L1)
@@ -552,35 +555,39 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 	m := h.mach
 	e := h.entry(line)
 
-	// Private hit path. The directory is authoritative for coherence; the
-	// arrays are authoritative for residency (they agree by construction).
-	if h.l1[core].lookup(line) {
+	// Private hit path. The directory is authoritative for coherence and
+	// lists exactly the cores holding the line in L1 or L2 (the arrays
+	// agree by construction), so a core it does not list skips both
+	// probes.
+	held := coreHolds(e, core)
+	if held && h.l1[core].lookup(line, write) {
 		h.stats.L1Hits++
 		if write {
-			h.l1[core].markDirty(line)
 			h.invalidateOthers(e, core, line)
 			e.setOwner(core)
 		}
 		return AccessResult{Cycles: m.Lat.L1, Level: HitL1}
 	}
 	h.stats.L1Misses++
-	if h.l2[core].lookup(line) {
-		h.stats.L2Hits++
-		// Promote into L1.
-		dirty, _ := h.l2[core].invalidate(line)
-		if write {
-			h.invalidateOthers(e, core, line)
-			e.setOwner(core)
-			dirty = true
-		}
-		v1, d1, had1 := h.l1[core].insert(line, dirty)
-		if had1 && v1 != line {
-			v2, d2, had2 := h.l2[core].insert(v1, d1)
-			if had2 && v2 != v1 {
-				h.evictPrivate(core, v2, d2)
+	if held {
+		// Promote into L1: the private levels are exclusive, so the line
+		// leaves L2.
+		if dirty, ok := h.l2[core].invalidate(line); ok {
+			h.stats.L2Hits++
+			if write {
+				h.invalidateOthers(e, core, line)
+				e.setOwner(core)
+				dirty = true
 			}
+			v1, d1, had1 := h.l1[core].insert(line, dirty)
+			if had1 && v1 != line {
+				v2, d2, had2 := h.l2[core].insert(v1, d1)
+				if had2 && v2 != v1 {
+					h.evictPrivate(core, v2, d2)
+				}
+			}
+			return AccessResult{Cycles: m.Lat.L2, Level: HitL2}
 		}
-		return AccessResult{Cycles: m.Lat.L2, Level: HitL2}
 	}
 	h.stats.L2Misses++
 
@@ -629,7 +636,7 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 	}
 
 	// Local L3?
-	if h.l3[socket].lookup(line) {
+	if h.l3[socket].lookup(line, false) {
 		h.stats.L3Hits++
 		if write {
 			h.invalidateOthers(e, core, line)
@@ -651,7 +658,7 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 				// The remote L3 copy becomes stale on a write.
 				h.l3[s].invalidate(line)
 			}
-			h.fillL3(socket, line, false)
+			h.insertL3(socket, line, false)
 			h.fillPrivate(core, line, write)
 			return AccessResult{Cycles: m.Lat.C2CCrossSocket, Level: HitC2C, CrossSocket: true, Miss: miss}
 		}
@@ -670,7 +677,7 @@ func (h *Hierarchy) resolve(ctx, core, socket int, line uint64, write bool, node
 	if write {
 		h.invalidateOthers(e, core, line)
 	}
-	h.fillL3(socket, line, false)
+	h.insertL3(socket, line, false)
 	h.fillPrivate(core, line, write)
 	return AccessResult{Cycles: cycles, Level: HitDRAM, CrossSocket: cross, Miss: miss}
 }

@@ -12,16 +12,30 @@ import (
 // directory and the cache arrays: a core holds a line in its private caches
 // if and only if the directory lists it as a sharer, a line never resides in
 // both L1 and L2 of one core (the exclusive design), and a dirty owner is
-// always a sharer.
+// always a sharer. It also checks every array's recency-list layout: the
+// valid ways of each set form a prefix and no line appears twice in a set.
 func (h *Hierarchy) checkConsistency() error {
+	for c := range h.l1 {
+		if err := h.l1[c].checkSets(); err != nil {
+			return fmt.Errorf("core %d L1: %v", c, err)
+		}
+		if err := h.l2[c].checkSets(); err != nil {
+			return fmt.Errorf("core %d L2: %v", c, err)
+		}
+	}
+	for s := range h.l3 {
+		if err := h.l3[s].checkSets(); err != nil {
+			return fmt.Errorf("socket %d L3: %v", s, err)
+		}
+	}
 	type residency struct{ l1, l2 bool }
 	resident := make(map[uint64]map[int]*residency)
 	record := func(a *array, core int, isL1 bool) {
-		for i := 0; i < a.sets*a.ways; i++ {
-			if !a.isValid(i) {
+		for _, w := range a.tags {
+			if w == 0 {
 				continue
 			}
-			line := a.tags[i]
+			line := slotLine(w)
 			if resident[line] == nil {
 				resident[line] = make(map[int]*residency)
 			}
@@ -75,6 +89,34 @@ func (h *Hierarchy) checkConsistency() error {
 				if r == nil {
 					return fmt.Errorf("directory says core %d holds line %#x but arrays disagree", c, line)
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkSets verifies that each set's valid ways form a prefix, that every
+// line sits in the set it maps to, and that no line appears twice in a set.
+func (a *array) checkSets() error {
+	for base := 0; base < len(a.tags); base += a.ways {
+		set := a.tags[base : base+a.ways]
+		seen := make(map[uint64]bool, a.ways)
+		for i, w := range set {
+			if w == 0 {
+				for j := i + 1; j < len(set); j++ {
+					if set[j] != 0 {
+						return fmt.Errorf("set at slot %d: valid way %d follows empty way %d", base, j, i)
+					}
+				}
+				break
+			}
+			line := slotLine(w)
+			if seen[line] {
+				return fmt.Errorf("set at slot %d: line %#x appears twice", base, line)
+			}
+			seen[line] = true
+			if got := &a.set(line)[0]; got != &set[0] {
+				return fmt.Errorf("set at slot %d holds line %#x of another set", base, line)
 			}
 		}
 	}
