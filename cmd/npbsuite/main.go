@@ -87,6 +87,10 @@ func main() {
 	)
 	prof := hostprof.RegisterFlags()
 	flag.Parse()
+	if err := checkMetric(*metric); err != nil {
+		fmt.Fprintln(os.Stderr, "npbsuite:", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -366,6 +370,22 @@ func contains(xs []string, x string) bool {
 		}
 	}
 	return false
+}
+
+// checkMetric accepts "" (every figure) or one of spcd.AllMetrics. Any
+// other name would print a table whose every cell is n/a.
+func checkMetric(name string) error {
+	if name == "" {
+		return nil
+	}
+	valid := make([]string, len(spcd.AllMetrics))
+	for i, m := range spcd.AllMetrics {
+		if string(m) == name {
+			return nil
+		}
+		valid[i] = string(m)
+	}
+	return fmt.Errorf("unknown -metric %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 func fatal(err error) {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spcd"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden CSV from the current output")
@@ -84,6 +86,30 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		if !bytes.Equal(base, got) {
 			t.Errorf("-parallel %d output differs from -parallel 1\n--- parallel 1 ---\n%s\n--- parallel %d ---\n%s",
 				workers, base, workers, got)
+		}
+	}
+}
+
+// TestCheckMetric: an unknown -metric, which once printed an all-n/a table
+// and exited 0, is rejected with the list of valid names; every name in
+// spcd.AllMetrics and the empty default are accepted.
+func TestCheckMetric(t *testing.T) {
+	for _, name := range []string{"all", "tme", "L2MPKI"} {
+		err := checkMetric(name)
+		if err == nil {
+			t.Errorf("checkMetric(%q) accepted an unknown metric", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "l2mpki") {
+			t.Errorf("checkMetric(%q) = %v; want the valid names listed", name, err)
+		}
+	}
+	if err := checkMetric(""); err != nil {
+		t.Errorf("checkMetric(\"\") = %v", err)
+	}
+	for _, m := range spcd.AllMetrics {
+		if err := checkMetric(string(m)); err != nil {
+			t.Errorf("checkMetric(%q) = %v", m, err)
 		}
 	}
 }

@@ -146,11 +146,15 @@ func (a *refArray) invalidate(line uint64) (wasDirty, was bool) {
 // array.
 var arrayShapes = [][2]int{{1, 1}, {3, 2}, {64, 8}, {16, 20}}
 
+// maxRefOps bounds the operations one matchReference call replays.
+const maxRefOps = 4096
+
 // matchReference replays an operation stream decoded from data through a
 // recency-ordered array and the reference array and fails on the first
 // difference in a return value or in any set's resident (line, dirty)
 // contents listed in LRU order. data[0] picks the geometry and a high line
-// offset; every following 3 bytes are one operation on one line. The
+// offset; every following 3 bytes are one operation on one line, up to
+// maxRefOps operations so that each fuzz execution stays fast. The
 // operations are the compositions the hierarchy performs: lookup, lookup
 // with the dirty bit set (the reference's lookup+markDirty), probe, clean
 // and dirty insert of a non-resident line, and invalidate.
@@ -164,6 +168,9 @@ func matchReference(t *testing.T, data []byte) {
 	a, ref := newArray(geom, 64), newRefArray(geom, 64)
 	if a.sets != shape[0] || a.ways != shape[1] {
 		t.Fatalf("geometry %v built %dx%d", shape, a.sets, a.ways)
+	}
+	if max := 1 + 3*maxRefOps; len(data) > max {
+		data = data[:max]
 	}
 	base := uint64(data[0]>>4) << 52
 	universe := uint64(2*shape[0]*shape[1] + 1) // enough lines to force evictions
