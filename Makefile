@@ -10,7 +10,7 @@
 # verify.sh's BENCH=1 / OBS=1 blocks call these targets, so the recipe lives
 # in exactly one place.
 
-.PHONY: build test race lint lint-bench verify bench bench-smoke obs-smoke chaos-smoke runtimeobs-smoke shootdown-smoke churn-smoke
+.PHONY: build test race lint lint-bench verify bench bench-smoke cache-fuzz-smoke obs-smoke chaos-smoke runtimeobs-smoke shootdown-smoke churn-smoke
 
 build:
 	go build ./...
@@ -52,6 +52,15 @@ bench:
 
 bench-smoke:
 	go test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
+
+# Fuzzes the recency-ordered cache array against the stamp-and-bitset
+# reference (internal/cache/refarray_test.go) beyond the seed corpus that
+# `go test ./...` already replays. Minimizing each new interesting input
+# may take the default 60 s, which would use up the whole 20 s budget with
+# a handful of executions; 2 s per input leaves tens of thousands.
+cache-fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzArrayMatchesReference -fuzztime 20s \
+		-fuzzminimizetime 2s ./internal/cache
 
 # OBS_DIR overrides where the trace/CSV artifacts land (CI uploads them).
 OBS_DIR ?= .obs-smoke
