@@ -11,8 +11,8 @@ import (
 )
 
 // refArray is the stamp-and-bitset array that the recency-ordered array
-// replaced, kept verbatim as the reference TestArrayMatchesReference and
-// FuzzArrayMatchesReference compare against.
+// replaced, kept verbatim but for its name as the reference that
+// TestArrayMatchesReference and FuzzArrayMatchesReference compare against.
 //
 // It is one physical set-associative cache with LRU replacement. The
 // valid and dirty bits are packed bitsets (one bit per slot) so a set's
